@@ -291,7 +291,7 @@ double DaqSampleTapeBoundSample(const PowerTape& tape, SimTime window_end) {
   return static_cast<double>(samples.size()) / elapsed / 1e6;
 }
 
-// The batched SoA pipeline through the span-returning entry point, with an
+// The fused sampling loop through the span-returning entry point, with an
 // arena-bound sample buffer — exactly how a warmed sweep worker samples.
 // Reported as Msamples/s.
 double DaqBatchSampleSample(const PowerTape& tape, SimTime window_end, Arena& arena) {

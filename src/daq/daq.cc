@@ -8,18 +8,49 @@
 namespace dcs {
 namespace {
 
-// Quantises `volts` to an ADC step of `lsb`, clamped to [lo, hi].
-double Quantise(double volts, double lsb, double lo, double hi) {
+double Clamp(double volts, double lo, double hi) {
   if (volts < lo) {
     volts = lo;
   }
   if (volts > hi) {
     volts = hi;
   }
-  return std::round(volts / lsb) * lsb;
+  return volts;
+}
+
+// Quantises `volts` to an ADC step of `lsb`, clamped to [lo, hi].
+double Quantise(double volts, double lsb, double lo, double hi) {
+  return std::round(Clamp(volts, lo, hi) / lsb) * lsb;
 }
 
 }  // namespace
+
+// Error bound, against glibc's cos(2.0 * M_PI * u), summed over four parts:
+//  - r: for the u that Rng::NextDouble returns (multiples of 2^-53) both
+//    subtractions are exact; for any other u in [0, 1) r is off by at most
+//    2^-56, which moves sin(2*pi*r) by under 1e-16.
+//  - fit: r * P(r^2) is a Chebyshev fit of sin(2*pi*r) on |r| <= 1/4
+//    (P fits sin(2*pi*sqrt(z)) / sqrt(z) on z in [0, 1/16]).  With the
+//    coefficients rounded to double, its error in 40-digit arithmetic on
+//    a grid of 2001 points peaks at 7.9e-14 (the test's 10^7-point sweep
+//    against glibc agrees).
+//  - evaluation: each Horner step rounds a partial sum under 80 whose
+//    error is scaled down by a power of z <= 1/16 and by r <= 1/4; the sum
+//    of all roundings is under 1e-15.
+//  - glibc: 2.0 * M_PI * u is within 7e-16 of 2*pi*u (the rounding of
+//    2*pi, then half an ulp of a value under 2*pi), and glibc's cos is
+//    within 1 ulp of its argument's cosine: under 9e-16 in all.
+// The total is under 1e-13, some 2000 times below kFastCos2PiMaxError.
+double FastCos2Pi(double u) {
+  const double r = std::fabs(u - 0.5) - 0.25;
+  const double z = r * r;
+  return r * (6.28318530717927 +
+              z * (-41.341702239903675 +
+                   z * (81.60524914901583 +
+                        z * (-76.70584754377326 +
+                             z * (42.058134871372054 +
+                                  z * (-15.081483206893 + z * 3.6658551595639612))))));
+}
 
 Daq::Daq(const DaqConfig& config, Arena* arena)
     : config_(config), rng_(config.seed),
@@ -29,29 +60,55 @@ Daq::Daq(const DaqConfig& config, Arena* arena)
   // Shunt channel is bipolar (+/- range); supply channel unipolar.
   shunt_lsb_ = 2.0 * config_.shunt_range_volts / steps;
   supply_lsb_ = config_.supply_range_volts / steps;
+  // A channel's clamped value in LSBs, x = v / lsb, differs between Read's
+  // fast path and the reference by the sum of two terms:
+  //  - noise: sigma * mag * cos with cos off by at most kFastCos2PiMaxError,
+  //    plus the two products' roundings (2^-52 of the noise); in LSBs that
+  //    is |noise_lsb| * mag * (kFastCos2PiMaxError + 2^-52), where
+  //    mag = sqrt(-2 ln u1) <= sqrt(-2 ln 1e-300) = 37.17 (37.2 leaves room
+  //    for the roundings of sigma and mag);
+  //  - the add and the divide: each side rounds both once, on values under
+  //    2^bits LSB: four half-ulps, under 2^(bits - 50) LSB.  A sum beyond
+  //    twice the range clamps to the same bound on both sides, and a clamp
+  //    never widens a gap.
+  // The second term is floored at 2^-20 LSB, a wide margin over the proof
+  // at every resolution up to 30 bits.  It costs a recompute on about 2
+  // readings in 10^6 at 1 LSB of noise, the chance that a noisy x lands
+  // in the 2 * 2^-20 LSB band around its rounding boundary.
+  code_margin_ = std::fabs(config_.noise_lsb) * 37.2 * (kFastCos2PiMaxError + 0x1p-52) +
+                 std::ldexp(1.0, std::max(config_.adc_bits, 30) - 50);
 }
 
-double Daq::ReadPower(double watts, double sigma_shunt, double sigma_supply) {
-  const double amps = watts / config_.supply_volts;
-  // Channel 1: shunt voltage drop.  A zero-sigma Gaussian only ever adds a
-  // signed zero, which cannot change any reachable reading, so the draws are
-  // skipped entirely when noise is disabled (nothing else observes rng_).
-  double shunt_v = amps * config_.shunt_ohms;
-  if (sigma_shunt != 0.0) {
-    shunt_v += rng_.Gaussian(0.0, sigma_shunt);
+double Daq::Read(double volts, const Channel& channel) {
+  // A zero-sigma Gaussian only ever adds a signed zero, which cannot change
+  // any reachable reading, so the draws are skipped entirely when noise is
+  // disabled (nothing else observes rng_).
+  if (channel.sigma == 0.0) {
+    return Quantise(volts, channel.lsb, channel.lo, channel.hi);
   }
-  shunt_v = Quantise(shunt_v, shunt_lsb_, -config_.shunt_range_volts,
-                     config_.shunt_range_volts);
-  // Channel 2: supply voltage.
-  double supply_v = config_.supply_volts;
-  if (sigma_supply != 0.0) {
-    supply_v += rng_.Gaussian(0.0, sigma_supply);
+  // Rng::Gaussian(0.0, sigma) term for term, up to its cos.
+  double u1 = rng_.NextDouble();
+  const double u2 = rng_.NextDouble();
+  if (u1 < 1e-300) {
+    u1 = 1e-300;
   }
-  supply_v = Quantise(supply_v, supply_lsb_, 0.0, config_.supply_range_volts);
-  // "The current was then calculated by dividing the voltage by the
-  // resistance."
-  const double measured_amps = shunt_v / config_.shunt_ohms;
-  return measured_amps * supply_v;
+  const double scale = channel.sigma * std::sqrt(-2.0 * std::log(u1));
+  const double x =
+      Clamp(volts + scale * FastCos2Pi(u2), channel.lo, channel.hi) / channel.lsb;
+  // Nearest integer by the 1.5 * 2^52 shift: exact for |x| < 2^51, with
+  // ties to even where std::round sends them away from zero.  The test
+  // below rejects every tie, and every |x| >= 2^51 (|x| is at most 2^bits,
+  // and from 49 bits up the margin is at least 1/2).
+  const double k = (x + 0x1.8p52) - 0x1.8p52;
+  if (std::fabs(x - k) < 0.5 - code_margin_ && std::fabs(x) > code_margin_) {
+    // The reference's x rounds to k too, and has the sign of this x, which
+    // copysign gives a zero code as std::round would.
+    return std::copysign(k, x) * channel.lsb;
+  }
+  // Too close to call (or NaN): the reference reading, with glibc cos.
+  ++recomputed_readings_;
+  return Quantise(volts + (0.0 + scale * std::cos(2.0 * M_PI * u2)), channel.lsb,
+                  channel.lo, channel.hi);
 }
 
 std::span<const double> Daq::SampleWindow(const PowerTape& tape, SimTime begin,
@@ -63,13 +120,29 @@ std::span<const double> Daq::SampleWindow(const PowerTape& tape, SimTime begin,
   const double period_s = 1.0 / config_.sample_hz;
   const std::int64_t count = static_cast<std::int64_t>(
       std::floor((end - begin).ToSeconds() / period_s));
-  samples_.reserve(static_cast<std::size_t>(count));
-  if (config_.reference_sampling) {
-    SampleScalar(tape, begin, count, period_s);
-  } else {
-    SampleBatched(tape, begin, count, period_s);
-    ApplyDrops();
+  samples_.resize(static_cast<std::size_t>(count));
+  double* const out = samples_.data();
+  // Sample times are non-decreasing, so a tape cursor makes each lookup
+  // amortised O(1) instead of a fresh binary search per sample.
+  PowerTape::Cursor cursor(tape);
+  const double supply_volts = config_.supply_volts;
+  const double shunt_ohms = config_.shunt_ohms;
+  const Channel shunt{config_.noise_lsb * shunt_lsb_, shunt_lsb_,
+                      -config_.shunt_range_volts, config_.shunt_range_volts};
+  const Channel supply{config_.noise_lsb * supply_lsb_, supply_lsb_, 0.0,
+                       config_.supply_range_volts};
+  for (std::int64_t i = 0; i < count; ++i) {
+    const SimTime t = begin + SimTime::FromSecondsF(i * period_s);
+    const double amps = cursor.WattsAt(t) / supply_volts;
+    // Channel 1, the shunt voltage drop, draws its noise before channel 2,
+    // the supply voltage.
+    const double shunt_v = Read(amps * shunt_ohms, shunt);
+    const double supply_v = Read(supply_volts, supply);
+    // "The current was then calculated by dividing the voltage by the
+    // resistance."
+    out[i] = (shunt_v / shunt_ohms) * supply_v;
   }
+  ApplyDrops();
   return {samples_.data(), samples_.size()};
 }
 
@@ -77,178 +150,6 @@ std::vector<double> Daq::SamplePowerWatts(const PowerTape& tape, SimTime begin,
                                           SimTime end) {
   const std::span<const double> window = SampleWindow(tape, begin, end);
   return std::vector<double>(window.begin(), window.end());
-}
-
-void Daq::SampleScalar(const PowerTape& tape, SimTime begin, std::int64_t count,
-                       double period_s) {
-  // Sample times are non-decreasing, so a tape cursor makes each lookup
-  // amortised O(1) instead of a fresh binary search per sample.  The noise
-  // sigmas are loop-invariant; hoisting them keeps the per-sample additions
-  // bitwise-identical (same product, same order of draws).
-  PowerTape::Cursor cursor(tape);
-  const double sigma_shunt = config_.noise_lsb * shunt_lsb_;
-  const double sigma_supply = config_.noise_lsb * supply_lsb_;
-  if (faults_ == nullptr) {
-    // Fast path: without an injector no sample can drop, so skip the drop
-    // checks and never materialise the dropped-index bookkeeping.
-    for (std::int64_t i = 0; i < count; ++i) {
-      const SimTime t = begin + SimTime::FromSecondsF(i * period_s);
-      samples_.push_back(ReadPower(cursor.WattsAt(t), sigma_shunt, sigma_supply));
-    }
-    return;
-  }
-  dropped_.clear();
-  for (std::int64_t i = 0; i < count; ++i) {
-    const SimTime t = begin + SimTime::FromSecondsF(i * period_s);
-    // The reading is always taken (the ADC ran; its noise stream must not
-    // shift) — a drop loses the value on the way to the host.
-    const double reading = ReadPower(cursor.WattsAt(t), sigma_shunt, sigma_supply);
-    if (faults_->DropSample()) {
-      dropped_.push_back(samples_.size());
-      samples_.push_back(0.0);
-    } else {
-      samples_.push_back(reading);
-    }
-  }
-  if (!dropped_.empty()) {
-    dropped_samples_ += dropped_.size();
-    InterpolateDropped(samples_.data(), samples_.size(), dropped_.data(),
-                       dropped_.size());
-  }
-}
-
-void Daq::SampleBatched(const PowerTape& tape, SimTime begin, std::int64_t count,
-                        double period_s) {
-  // Structure-of-arrays pipeline.  Every pass below either (a) performs,
-  // per element, exactly the operations the scalar pipeline performs in
-  // exactly the same order — divide/multiply/sqrt/round/clamp, all
-  // correctly rounded per IEEE-754, so reordering *across* elements cannot
-  // change any bit — or (b) is a serial pass whose cross-element order
-  // matters (the RNG stream, the cursor walk) and is kept in stream order.
-  // The only libm calls, log and cos, stay scalar calls into the same glibc
-  // the reference path uses; their loops are split out so everything around
-  // them vectorizes.
-  PowerTape::Cursor cursor(tape);
-  const double sigma_shunt = config_.noise_lsb * shunt_lsb_;
-  const double sigma_supply = config_.noise_lsb * supply_lsb_;
-  const bool shunt_noise = sigma_shunt != 0.0;
-  const bool supply_noise = sigma_supply != 0.0;
-  const double supply_volts = config_.supply_volts;
-  const double shunt_ohms = config_.shunt_ohms;
-  const double shunt_lo = -config_.shunt_range_volts;
-  const double shunt_hi = config_.shunt_range_volts;
-  const double supply_hi = config_.supply_range_volts;
-  const double shunt_lsb = shunt_lsb_;
-  const double supply_lsb = supply_lsb_;
-
-  SimTime* const times = scratch_.times.data();
-  double* const supply = scratch_.supply.data();
-  double* const u1 = scratch_.u1.data();
-  double* const u2 = scratch_.u2.data();
-  double* const u3 = scratch_.u3.data();
-  double* const u4 = scratch_.u4.data();
-
-  // The batches compute straight into the output vector (reserved to `count`
-  // by SampleWindow), so finished values are never copied out of scratch.
-  samples_.resize(static_cast<std::size_t>(count));
-  double* const out = samples_.data();
-
-  for (std::int64_t base = 0; base < count; base += kBatch) {
-    const int n = static_cast<int>(std::min<std::int64_t>(kBatch, count - base));
-    double* const vals = out + base;
-    // Pass 1 (serial): timestamps, then the cursor gather in time order.
-    for (int i = 0; i < n; ++i) {
-      times[i] = begin + SimTime::FromSecondsF((base + i) * period_s);
-    }
-    cursor.GatherWatts(times, static_cast<std::size_t>(n), vals);
-    // Pass 2 (vectorizable): true watts -> raw shunt volts.
-    for (int i = 0; i < n; ++i) {
-      vals[i] = (vals[i] / supply_volts) * shunt_ohms;
-    }
-    // Pass 3 (serial): uniform draws in the scalar pipeline's exact stream
-    // order — per sample, shunt pair then supply pair, skipping a channel's
-    // pair entirely when its noise is disabled.
-    if (shunt_noise || supply_noise) {
-      for (int i = 0; i < n; ++i) {
-        if (shunt_noise) {
-          u1[i] = rng_.NextDouble();
-          u2[i] = rng_.NextDouble();
-        }
-        if (supply_noise) {
-          u3[i] = rng_.NextDouble();
-          u4[i] = rng_.NextDouble();
-        }
-      }
-    }
-    // Pass 4: Gaussian shunt noise, term-for-term the Rng::Gaussian
-    // expression (clamp, log, sqrt, cos, multiply-add) with log/cos in
-    // their own scalar loops.
-    if (shunt_noise) {
-      for (int i = 0; i < n; ++i) {
-        double u = u1[i];
-        if (u < 1e-300) {
-          u = 1e-300;
-        }
-        u1[i] = std::log(u);
-      }
-      for (int i = 0; i < n; ++i) {
-        u1[i] = std::sqrt(-2.0 * u1[i]);
-      }
-      for (int i = 0; i < n; ++i) {
-        u2[i] = std::cos(2.0 * M_PI * u2[i]);
-      }
-      for (int i = 0; i < n; ++i) {
-        vals[i] += 0.0 + sigma_shunt * u1[i] * u2[i];
-      }
-    }
-    // Pass 5 (vectorizable): shunt-channel ADC quantisation.
-    for (int i = 0; i < n; ++i) {
-      double v = vals[i];
-      if (v < shunt_lo) {
-        v = shunt_lo;
-      }
-      if (v > shunt_hi) {
-        v = shunt_hi;
-      }
-      vals[i] = std::round(v / shunt_lsb) * shunt_lsb;
-    }
-    // Pass 6: supply channel — constant rail, optional noise, quantisation.
-    for (int i = 0; i < n; ++i) {
-      supply[i] = supply_volts;
-    }
-    if (supply_noise) {
-      for (int i = 0; i < n; ++i) {
-        double u = u3[i];
-        if (u < 1e-300) {
-          u = 1e-300;
-        }
-        u3[i] = std::log(u);
-      }
-      for (int i = 0; i < n; ++i) {
-        u3[i] = std::sqrt(-2.0 * u3[i]);
-      }
-      for (int i = 0; i < n; ++i) {
-        u4[i] = std::cos(2.0 * M_PI * u4[i]);
-      }
-      for (int i = 0; i < n; ++i) {
-        supply[i] += 0.0 + sigma_supply * u3[i] * u4[i];
-      }
-    }
-    for (int i = 0; i < n; ++i) {
-      double v = supply[i];
-      if (v < 0.0) {
-        v = 0.0;
-      }
-      if (v > supply_hi) {
-        v = supply_hi;
-      }
-      supply[i] = std::round(v / supply_lsb) * supply_lsb;
-    }
-    // Pass 7 (vectorizable): measured current x measured rail -> power.
-    for (int i = 0; i < n; ++i) {
-      vals[i] = (vals[i] / shunt_ohms) * supply[i];
-    }
-  }
 }
 
 void Daq::ApplyDrops() {

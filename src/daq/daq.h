@@ -15,7 +15,6 @@
 #ifndef SRC_DAQ_DAQ_H_
 #define SRC_DAQ_DAQ_H_
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -44,12 +43,15 @@ struct DaqConfig {
   // Additive Gaussian noise on each channel, in LSBs.
   double noise_lsb = 1.0;
   std::uint64_t seed = 0x0DA05EEDULL;
-  // When true, sampling runs the original one-reading-at-a-time scalar
-  // pipeline instead of the batched structure-of-arrays pipeline.  The two
-  // are bitwise-identical (enforced by tests/hotpath/daq_soa_property_test);
-  // the scalar path is retained as the differential reference.
-  bool reference_sampling = false;
 };
+
+// cos(2*pi*u) for u in [0, 1): a branch-free odd polynomial in
+// r = |u - 1/2| - 1/4, where cos(2*pi*u) = sin(2*pi*r).  It differs from
+// glibc's std::cos(2.0 * M_PI * u) by at most kFastCos2PiMaxError (the
+// derivation is at the definition; tests/hotpath/daq_soa_property_test.cc
+// sweeps it).
+double FastCos2Pi(double u);
+inline constexpr double kFastCos2PiMaxError = 0x1p-32;
 
 class Daq {
  public:
@@ -68,13 +70,19 @@ class Daq {
   // the nearest survivor); without a bound injector the drop bookkeeping is
   // never materialised.
   //
-  // The default pipeline is batched: per 2048-sample block, timestamps,
-  // cursor watts and the ADC channel values each live in a contiguous array,
-  // and every pass that IEEE-754 guarantees to round identically per element
-  // (divide, multiply, sqrt, round, clamp) is a tight vectorizable loop.
-  // The Gaussian draws and their log/cos stay scalar, in exact stream
-  // order, so the result is bit-for-bit the scalar pipeline's (goldens are
-  // the spec; see tests/hotpath/daq_soa_property_test.cc).
+  // One fused loop takes each sample: timestamp, tape read, the shunt
+  // channel, the supply channel, power.  A channel draws its Box-Muller pair
+  // in the reference stream order and computes sqrt(-2 log u1) exactly as
+  // Rng::Gaussian does, but takes cos(2*pi*u2) from FastCos2Pi.  Its value x
+  // in LSBs then differs from the reference's by less than a margin fixed
+  // by the config (see the constructor), so when x lies further than that
+  // margin from every rounding boundary k +/- 1/2, and from zero, the
+  // reference rounds to the same code k with the same sign and k * lsb is
+  // its reading bit for bit.  Otherwise the channel is recomputed with glibc
+  // cos, exactly as the reference computes it: about 2 readings in 10^6 at
+  // 1 LSB of noise.  So every sample, and every golden, is the one-reading-
+  // at-a-time pipeline's bit for bit (tests/support/daq_reference.h is that
+  // pipeline; tests/hotpath/daq_soa_property_test.cc compares the two).
   //
   // Returns a view into an internal buffer that remains valid until the
   // next SampleWindow/SamplePowerWatts/MeasureEnergyJoules call.
@@ -90,6 +98,10 @@ class Daq {
 
   // Samples lost to injected drops so far.
   std::uint64_t dropped_samples() const { return dropped_samples_; }
+
+  // Channel readings so far that FastCos2Pi could not settle and that were
+  // recomputed with glibc cos.  A diagnostic: not part of the snapshot.
+  std::uint64_t recomputed_readings() const { return recomputed_readings_; }
 
   // Rectangle-rule energy: sum(p_i * 0.0002 s), exactly as in section 4.1.
   double EnergyJoules(std::span<const double> samples) const;
@@ -111,25 +123,22 @@ class Daq {
   }
 
  private:
-  // SoA block size: big enough to amortise loop overhead and fill vector
-  // lanes, small enough that the scratch arrays stay cache-resident.
-  static constexpr int kBatch = 2048;
+  // One ADC channel: noise sigma (zero skips the draws), step, clamp range.
+  struct Channel {
+    double sigma;
+    double lsb;
+    double lo;
+    double hi;
+  };
 
-  // One power reading of true power `watts` through the ADC pipeline, with
-  // per-channel noise sigmas (hoisted by the caller; zero skips the draw).
-  double ReadPower(double watts, double sigma_shunt, double sigma_supply);
+  // The channel's reading of `volts`: plus noise from the next two draws
+  // (none when sigma is 0), clamped and quantised.
+  double Read(double volts, const Channel& channel);
 
-  // The retained scalar reference pipeline: the original per-sample loop,
-  // including the interleaved fault-drop decisions.  Appends to samples_.
-  void SampleScalar(const PowerTape& tape, SimTime begin, std::int64_t count,
-                    double period_s);
-  // The batched SoA pipeline (no drop handling; see ApplyDrops).
-  void SampleBatched(const PowerTape& tape, SimTime begin, std::int64_t count,
-                     double period_s);
-  // Drop overlay for the batched path.  The injector's drop stream is
-  // isolated from the DAQ noise stream, so deciding drops after the batch
-  // (instead of interleaved per sample) reads both streams in the same
-  // per-stream order and yields identical values.
+  // Drop overlay.  The injector's drop stream is isolated from the DAQ
+  // noise stream, so deciding drops after the sampling loop (instead of
+  // interleaved per sample) reads both streams in the same per-stream order
+  // and yields identical values.
   void ApplyDrops();
 
   // Reconstructs the samples at `dropped` (sorted indices) in place.
@@ -140,22 +149,16 @@ class Daq {
   Rng rng_;
   double shunt_lsb_;
   double supply_lsb_;
+  // Readings whose value lies within this many LSBs of a rounding boundary
+  // or of zero are recomputed with glibc cos.
+  double code_margin_;
   FaultInjector* faults_ = nullptr;
   std::uint64_t dropped_samples_ = 0;
+  std::uint64_t recomputed_readings_ = 0;
 
   // Sample window output (reused across calls; arena-backed when bound).
   ArenaVector<double> samples_;
   ArenaVector<std::size_t> dropped_;
-  // Per-block SoA scratch.  Fixed arrays: sampling never allocates for them.
-  // The watts column lives directly in samples_ (batches write in place),
-  // so only the channel temporaries need scratch.
-  struct Scratch {
-    std::array<SimTime, kBatch> times;
-    std::array<double, kBatch> supply;  // supply channel volts
-    std::array<double, kBatch> u1, u2;  // shunt-channel uniform draws / noise temps
-    std::array<double, kBatch> u3, u4;  // supply-channel uniform draws / noise temps
-  };
-  Scratch scratch_;
 };
 
 // Latches a measurement window from GPIO edges, as the paper's trigger wire

@@ -119,37 +119,6 @@ class PowerTape {
       return segs[index_].watts;
     }
 
-    // Batched sequential gather: out[i] = WattsAt(times[i]) for `n`
-    // non-decreasing query times, one amortised-O(1) advance per element.
-    // The SoA companion to WattsAt — the DAQ fills a contiguous timestamp
-    // array and reads a contiguous watts array back.
-    void GatherWatts(const SimTime* times, std::size_t n, double* out) {
-      const SegmentVector& segs = tape_->segments();
-      const std::size_t count = segs.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        const SimTime t = times[i];
-        if (count == 0 || t < segs.front().start) {
-          out[i] = 0.0;
-          continue;
-        }
-        if (index_ >= count) {
-          index_ = count - 1;
-        }
-        if (t < segs[index_].start) {
-          auto it = std::upper_bound(
-              segs.begin(), segs.end(), t,
-              [](SimTime x, const Segment& s) { return x < s.start; });
-          index_ = static_cast<std::size_t>(it - segs.begin()) - 1;
-          out[i] = segs[index_].watts;
-          continue;
-        }
-        while (index_ + 1 < count && segs[index_ + 1].start <= t) {
-          ++index_;
-        }
-        out[i] = segs[index_].watts;
-      }
-    }
-
    private:
     const PowerTape* tape_;
     std::size_t index_ = 0;

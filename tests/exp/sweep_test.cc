@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -222,12 +226,59 @@ TEST(RunRepeatedParallelTest, BitIdenticalToSerial) {
   EXPECT_EQ(a.mean_clock_changes, b.mean_clock_changes);
 }
 
+// A fixed integer burn; returns its result so it cannot be optimised away.
+std::uint64_t Burn(std::uint64_t iterations) {
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (std::uint64_t i = 0; i < iterations; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  return x;
+}
+
+double SecondsToRun(const std::function<void()>& body) {
+  const auto start = std::chrono::steady_clock::now();
+  body();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+// The parallelism the host actually gives `threads` threads right now: a
+// burn calibrated to ~20 ms on one thread, then the same burn on every
+// thread at once, best of three each; threads * t1 / t_parallel.  Unlike
+// hardware_concurrency(), this sees CPU quotas and neighbours' load.
+double MeasuredParallelism(int threads) {
+  std::atomic<std::uint64_t> sink{0};
+  std::uint64_t iterations = 1 << 16;
+  while (SecondsToRun([&] { sink += Burn(iterations); }) < 0.02) {
+    iterations *= 2;
+  }
+  double serial = 1e300;
+  double parallel = 1e300;
+  for (int round = 0; round < 3; ++round) {
+    serial = std::min(serial, SecondsToRun([&] { sink += Burn(iterations); }));
+    parallel = std::min(parallel, SecondsToRun([&] {
+      std::vector<std::thread> pool;
+      for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&] { sink += Burn(iterations); });
+      }
+      for (std::thread& thread : pool) {
+        thread.join();
+      }
+    }));
+  }
+  return threads * serial / parallel;
+}
+
 TEST(SweepRunnerTest, ParallelSpeedupOnMulticoreHost) {
-  // The acceptance bar: a 32-repetition sweep at least 2x faster on >= 4
-  // cores.  Skipped on smaller hosts (CI runs it on 4-core runners).
-  if (std::thread::hardware_concurrency() < 4) {
-    GTEST_SKIP() << "needs >= 4 hardware threads, have "
-                 << std::thread::hardware_concurrency();
+  // The acceptance bar: a 32-repetition sweep at least 2x faster on 4
+  // threads.  Skipped unless the host measurably gives 4 threads 3x the
+  // throughput of one: the bar needs that headroom over the runner's
+  // serial share.
+  const double available = MeasuredParallelism(4);
+  if (available < 3.0) {
+    GTEST_SKIP() << "needs 3x measured parallelism on 4 threads for the 2x bar, have "
+                 << available << "x";
   }
   std::vector<ExperimentConfig> configs;
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
@@ -246,7 +297,8 @@ TEST(SweepRunnerTest, ParallelSpeedupOnMulticoreHost) {
   const double parallel_wall = parallel_runner.metrics().wall_seconds;
 
   EXPECT_GE(serial_wall / parallel_wall, 2.0)
-      << "serial " << serial_wall << "s vs parallel " << parallel_wall << "s";
+      << "serial " << serial_wall << "s vs parallel " << parallel_wall << "s, measured "
+      << available << "x parallelism";
 }
 
 }  // namespace

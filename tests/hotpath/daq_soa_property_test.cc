@@ -1,16 +1,20 @@
-// SoA-vs-scalar differential property suite for the DAQ.
+// Fused-vs-reference differential property suite for the DAQ.
 //
-// The batched sampling pipeline (Daq::SampleBatched) restructures the
-// per-sample loop into contiguous-array passes for the auto-vectoriser; its
-// contract is *bitwise* equality with the retained scalar reference
-// (DaqConfig::reference_sampling).  This suite hammers that contract across
-// randomized power tapes, every noise/rate/resolution combination the
-// experiments use, window edge cases, and fault-injected sample drops.
+// Daq::SampleWindow runs one fused loop per sample and takes its noise's
+// cos(2*pi*u) from FastCos2Pi, recomputing a reading with glibc cos only
+// when its ADC code is in doubt.  Its contract is *bitwise* equality with
+// the one-reading-at-a-time reference pipeline (tests/support/
+// daq_reference.h).  This suite hammers that contract across randomized
+// power tapes, every noise/rate/resolution combination the experiments use,
+// window edge cases (signed-zero codes among them), fault-injected sample
+// drops and readings forced onto the exact path; and it sweeps FastCos2Pi
+// against glibc.
 
 #include "src/daq/daq.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -21,9 +25,12 @@
 #include "src/sim/arena.h"
 #include "src/sim/rng.h"
 #include "src/sim/time.h"
+#include "tests/support/daq_reference.h"
 
 namespace dcs {
 namespace {
+
+using testing::ReferenceDaq;
 
 // A tape with `segments` random power levels at randomly jittered times.
 PowerTape RandomTape(std::uint64_t seed, int segments) {
@@ -37,24 +44,25 @@ PowerTape RandomTape(std::uint64_t seed, int segments) {
   return tape;
 }
 
-// Runs both pipelines over the same window and asserts bitwise equality.
+// Runs the DAQ and the reference over the same window and asserts bitwise
+// equality.  `recomputed`, when given, receives the DAQ's count of readings
+// it recomputed with glibc cos.
 void ExpectBitwiseEqual(const DaqConfig& config, const PowerTape& tape, SimTime begin,
-                        SimTime end, const std::string& label) {
-  DaqConfig scalar_config = config;
-  scalar_config.reference_sampling = true;
-  DaqConfig batched_config = config;
-  batched_config.reference_sampling = false;
-
-  Daq scalar(scalar_config);
-  Daq batched(batched_config);
-  const std::span<const double> a = scalar.SampleWindow(tape, begin, end);
-  const std::span<const double> b = batched.SampleWindow(tape, begin, end);
+                        SimTime end, const std::string& label,
+                        std::uint64_t* recomputed = nullptr) {
+  ReferenceDaq reference(config);
+  Daq fused(config);
+  const std::span<const double> a = reference.SampleWindow(tape, begin, end);
+  const std::span<const double> b = fused.SampleWindow(tape, begin, end);
+  if (recomputed != nullptr) {
+    *recomputed = fused.recomputed_readings();
+  }
 
   ASSERT_EQ(a.size(), b.size()) << label;
   if (!a.empty()) {
     // memcmp, not ==: the contract is bit-for-bit, not merely value-equal.
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
-        << label << ": batched pipeline diverged from the scalar reference";
+        << label << ": fused pipeline diverged from the reference";
   }
 }
 
@@ -104,9 +112,14 @@ TEST(DaqSoaPropertyTest, WindowEdgeCases) {
   ExpectBitwiseEqual(config, tape, SimTime::Millis(5), SimTime::Millis(5), "empty");
   // Window entirely before the first segment (cursor returns 0.0).
   ExpectBitwiseEqual(config, tape, SimTime::Nanos(0), SimTime::Micros(400), "pre-tape");
+  // A zero-watts tape: most shunt codes are 0, with the sign of the noise
+  // (std::round gives -0.0 for a small negative value).
+  PowerTape zero_watts;
+  zero_watts.Set(SimTime::Zero(), 0.0);
+  ExpectBitwiseEqual(config, zero_watts, SimTime::Zero(), SimTime::Seconds(1), "zero watts");
   // Window extending far past the last segment.
   ExpectBitwiseEqual(config, tape, SimTime::Millis(10), SimTime::Seconds(2), "post-tape");
-  // Exactly one sample; exactly one batch; one past a batch boundary.
+  // Exactly one sample; 2048 samples; 2049 samples.
   const double period_us = 200.0;  // 5 kHz
   ExpectBitwiseEqual(config, tape, SimTime::Millis(1),
                      SimTime::Millis(1) + SimTime::FromMicrosF(period_us * 1.5), "1 sample");
@@ -134,28 +147,26 @@ TEST(DaqSoaPropertyTest, BatchedMatchesScalarUnderFaultDrops) {
 
     const PowerTape tape = RandomTape(21, 300);
     DaqConfig config;
-    config.reference_sampling = true;
-    Daq scalar(config);
-    config.reference_sampling = false;
-    Daq batched(config);
+    ReferenceDaq reference(config);
+    Daq fused(config);
 
     // Each pipeline gets its own injector at the same seed: the drop stream
     // is isolated per fault class, so both see identical drop decisions.
-    FaultInjector scalar_faults(plan, /*seed=*/11);
-    FaultInjector batched_faults(plan, /*seed=*/11);
-    scalar.BindFaults(&scalar_faults);
-    batched.BindFaults(&batched_faults);
+    FaultInjector reference_faults(plan, /*seed=*/11);
+    FaultInjector fused_faults(plan, /*seed=*/11);
+    reference.BindFaults(&reference_faults);
+    fused.BindFaults(&fused_faults);
 
     const std::span<const double> a =
-        scalar.SampleWindow(tape, SimTime::Millis(1), SimTime::Millis(500));
+        reference.SampleWindow(tape, SimTime::Millis(1), SimTime::Millis(500));
     const std::span<const double> b =
-        batched.SampleWindow(tape, SimTime::Millis(1), SimTime::Millis(500));
+        fused.SampleWindow(tape, SimTime::Millis(1), SimTime::Millis(500));
     ASSERT_EQ(a.size(), b.size()) << spec;
     ASSERT_FALSE(a.empty()) << spec;
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0) << spec;
-    EXPECT_EQ(scalar.dropped_samples(), batched.dropped_samples()) << spec;
+    EXPECT_EQ(reference.dropped_samples(), fused.dropped_samples()) << spec;
     if (std::string(spec) == "daq-drop=0.5") {
-      EXPECT_GT(batched.dropped_samples(), 0u) << "drop plan never triggered";
+      EXPECT_GT(fused.dropped_samples(), 0u) << "drop plan never triggered";
     }
   }
 }
@@ -191,6 +202,65 @@ TEST(DaqSoaPropertyTest, WrapperAndArenaBindingPreserveSamples) {
   Daq energy_daq(config);
   EXPECT_EQ(energy_daq.MeasureEnergyJoules(tape, begin, end),
             window_daq.EnergyJoules(window_copy));
+}
+
+// Constant tapes whose shunt voltage sits on a rounding boundary, under
+// noise far below the certificate's margin: on a half-LSB boundary the
+// code is in doubt, on zero watts the sign of the zero code is.  No shunt
+// reading can be certified, so every one takes the exact glibc-cos path,
+// and the samples must still be the reference's.
+TEST(DaqSoaPropertyTest, ReadingsOnARoundingBoundaryTakeTheExactPath) {
+  DaqConfig config;
+  config.noise_lsb = 1e-9;
+  const double shunt_lsb = 2.0 * config.shunt_range_volts / std::pow(2.0, config.adc_bits);
+  const double half_lsb_watts = 1000.5 * shunt_lsb / config.shunt_ohms * config.supply_volts;
+  const double code = (half_lsb_watts / config.supply_volts) * config.shunt_ohms / shunt_lsb;
+  ASSERT_LT(std::fabs(code - 1000.5), 1e-9) << "tape misses the boundary";
+
+  for (const double watts : {half_lsb_watts, 0.0}) {
+    PowerTape tape;
+    tape.Set(SimTime::Zero(), watts);
+    std::uint64_t recomputed = 0;
+    const std::string label = "constant " + std::to_string(watts) + " W";
+    ExpectBitwiseEqual(config, tape, SimTime::Millis(1), SimTime::Millis(201), label,
+                       &recomputed);
+    // 1000 samples; the supply channel, 0.32 LSB from its nearest boundary,
+    // is certified every time.
+    EXPECT_EQ(recomputed, 1000u) << label;
+  }
+}
+
+// FastCos2Pi against glibc's cos(2.0 * M_PI * u) at the ends of [0, 1), one
+// ulp either side of every multiple of 1/8, and 10^7 uniform draws: the
+// largest error must sit 100 times under the allowance the DAQ's
+// certificate assumes.
+TEST(DaqSoaPropertyTest, FastCos2PiIsFarInsideItsAllowance) {
+  double max_error = 0.0;
+  double worst_u = 0.0;
+  const auto check = [&](double u) {
+    const double error = std::fabs(FastCos2Pi(u) - std::cos(2.0 * M_PI * u));
+    if (!(error <= max_error)) {
+      max_error = error;
+      worst_u = u;
+    }
+  };
+  check(0.0);
+  check(std::nextafter(1.0, 0.0));
+  for (int j = 0; j <= 8; ++j) {
+    const double u = j / 8.0;
+    if (u < 1.0) {
+      check(u);
+      check(std::nextafter(u, 1.0));
+    }
+    if (u > 0.0) {
+      check(std::nextafter(u, 0.0));
+    }
+  }
+  Rng rng(0xC05);
+  for (int i = 0; i < 10'000'000; ++i) {
+    check(rng.NextDouble());
+  }
+  EXPECT_LE(max_error, kFastCos2PiMaxError / 100) << "worst at u = " << worst_u;
 }
 
 }  // namespace
