@@ -41,35 +41,61 @@ std::unique_ptr<UtilizationPredictor> AvgNPredictor::Clone() const {
 SlidingWindowPredictor::SlidingWindowPredictor(int window)
     : window_(window), name_("WIN" + std::to_string(window)) {
   assert(window >= 1);
+  ring_.resize(static_cast<std::size_t>(window));
 }
 
 double SlidingWindowPredictor::Update(double utilization) {
-  samples_.push_back(ClampUtilization(utilization));
-  sum_ += samples_.back();
-  if (static_cast<int>(samples_.size()) > window_) {
-    sum_ -= samples_.front();
-    samples_.pop_front();
+  const double u = ClampUtilization(utilization);
+  sum_ += u;
+  if (count_ == ring_.size()) {
+    sum_ -= ring_[next_];  // the oldest sample leaves the window
+  } else {
+    ++count_;
+  }
+  ring_[next_] = u;
+  if (++next_ == ring_.size()) {
+    next_ = 0;
   }
   return Current();
 }
 
 double SlidingWindowPredictor::Current() const {
-  if (samples_.empty()) {
+  if (count_ == 0) {
     return 0.0;
   }
-  return sum_ / static_cast<double>(samples_.size());
+  return sum_ / static_cast<double>(count_);
 }
 
 void SlidingWindowPredictor::Reset() {
-  samples_.clear();
+  next_ = 0;
+  count_ = 0;
   sum_ = 0.0;
 }
 
 std::unique_ptr<UtilizationPredictor> SlidingWindowPredictor::Clone() const {
-  auto clone = std::make_unique<SlidingWindowPredictor>(window_);
-  clone->samples_ = samples_;
-  clone->sum_ = sum_;
-  return clone;
+  return std::make_unique<SlidingWindowPredictor>(*this);
+}
+
+void SlidingWindowPredictor::SaveState(SnapshotWriter* w) const {
+  w->U64(count_);
+  for (std::size_t i = ring_.size() - count_; i < ring_.size(); ++i) {
+    w->F64(ring_[(next_ + i) % ring_.size()]);
+  }
+  w->F64(sum_);
+}
+
+void SlidingWindowPredictor::LoadState(SnapshotReader* r) {
+  const std::uint64_t n = r->U64();
+  if (n > ring_.size()) {
+    r->Fail();  // an image from a wider window
+    return;
+  }
+  count_ = static_cast<std::size_t>(n);
+  for (std::size_t i = 0; i < count_; ++i) {
+    ring_[i] = r->F64();
+  }
+  next_ = count_ % ring_.size();
+  sum_ = r->F64();
 }
 
 }  // namespace dcs

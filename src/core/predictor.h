@@ -16,9 +16,9 @@
 #ifndef SRC_CORE_PREDICTOR_H_
 #define SRC_CORE_PREDICTOR_H_
 
-#include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/sim/snapshot.h"
 
@@ -107,7 +107,8 @@ class AvgNPredictor final : public UtilizationPredictor {
   double weighted_ = 0.0;
 };
 
-// Plain mean of the last `window` utilizations.
+// Plain mean of the last `window` utilizations, kept in a ring sized at
+// construction, so neither Update nor a snapshot restore allocates.
 class SlidingWindowPredictor final : public UtilizationPredictor {
  public:
   explicit SlidingWindowPredictor(int window);
@@ -116,21 +117,18 @@ class SlidingWindowPredictor final : public UtilizationPredictor {
   double Current() const override;
   void Reset() override;
   std::unique_ptr<UtilizationPredictor> Clone() const override;
-  void SaveState(SnapshotWriter* w) const override {
-    SaveSampleWindow(w, samples_);
-    w->F64(sum_);
-  }
-  void LoadState(SnapshotReader* r) override {
-    LoadSampleWindow(r, &samples_);
-    sum_ = r->F64();
-  }
+  // SaveSampleWindow's encoding: the count, then the samples oldest first.
+  void SaveState(SnapshotWriter* w) const override;
+  void LoadState(SnapshotReader* r) override;
 
   int window() const { return window_; }
 
  private:
   int window_;
   std::string name_;
-  std::deque<double> samples_;
+  std::vector<double> ring_;  // window_ slots
+  std::size_t next_ = 0;      // slot the next sample goes to
+  std::size_t count_ = 0;     // samples held, <= window_
   double sum_ = 0.0;
 };
 

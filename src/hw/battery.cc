@@ -1,10 +1,38 @@
 #include "src/hw/battery.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
 namespace dcs {
+
+void Battery::SetParams(const BatteryParams& params) {
+  const bool new_law = std::bit_cast<std::uint64_t>(params.peukert_exponent) !=
+                           std::bit_cast<std::uint64_t>(params_.peukert_exponent) ||
+                       std::bit_cast<std::uint64_t>(params.reference_current_a) !=
+                           std::bit_cast<std::uint64_t>(params_.reference_current_a);
+  params_ = params;
+  if (new_law) {
+    RefreshPeukertLaw();
+  }
+}
+
+void Battery::RefreshPeukertLaw() {
+  reference_pow_ = std::pow(params_.reference_current_a, params_.peukert_exponent - 1.0);
+  pow_memo_.fill(PowMemoEntry{});
+}
+
+double Battery::PeukertPow(double amps) {
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(amps);
+  // Fibonacci hashing: the top bits of the product mix every input bit.
+  PowMemoEntry& entry = pow_memo_[(bits * 0x9E3779B97F4A7C15ull) >> (64 - kPowMemoBits)];
+  if (entry.amps_bits != bits) {
+    entry.amps_bits = bits;
+    entry.value = std::pow(amps, params_.peukert_exponent);
+  }
+  return entry.value;
+}
 
 void Battery::Drain(double watts, SimTime dt) {
   if (dt <= SimTime::Zero() || watts < 0.0) {
@@ -23,12 +51,11 @@ void Battery::Drain(double watts, SimTime dt) {
     return;
   }
   // Peukert drain: depth accrues at I^k / Cp per hour.
-  const double peukert_rate = std::pow(amps, params_.peukert_exponent) / params_.peukert_capacity;
+  const double peukert_rate = PeukertPow(amps) / params_.peukert_capacity;
   // The "ideal" drain an effect-free battery would see at the same current,
   // expressed against the capacity available at the reference current.
   const double ideal_rate =
-      amps * std::pow(params_.reference_current_a, params_.peukert_exponent - 1.0) /
-      params_.peukert_capacity;
+      amps * reference_pow_ / params_.peukert_capacity;
   depth_ += peukert_rate * hours;
   if (!died_ && depth_ >= 1.0) {
     died_ = true;

@@ -20,6 +20,9 @@
 #ifndef SRC_HW_BATTERY_H_
 #define SRC_HW_BATTERY_H_
 
+#include <array>
+#include <cstdint>
+
 #include "src/sim/snapshot.h"
 #include "src/sim/time.h"
 
@@ -47,8 +50,8 @@ struct BatteryParams {
 
 class Battery {
  public:
-  Battery() = default;
-  explicit Battery(const BatteryParams& params) : params_(params) {}
+  Battery() : Battery(BatteryParams{}) {}
+  explicit Battery(const BatteryParams& params) : params_(params) { RefreshPeukertLaw(); }
 
   const BatteryParams& params() const { return params_; }
 
@@ -80,8 +83,10 @@ class Battery {
   // Replaces the parameter set.  The fleet layer uses this at device-fork
   // time to apply per-device capacity jitter: the shared warmup charge state
   // (depth, recoverable pool — both capacity fractions) carries over, future
-  // drain follows the device's own capacity.
-  void SetParams(const BatteryParams& params) { params_ = params; }
+  // drain follows the device's own capacity.  A capacity-only change keeps
+  // the Peukert power memo below; a new exponent or reference current drops
+  // it.
+  void SetParams(const BatteryParams& params);
 
   // Device-snapshot support (src/sim/snapshot.h).  Params are config and not
   // saved; SetParams above reapplies any per-device jitter after a load.
@@ -107,6 +112,22 @@ class Battery {
   SimTime life_;              // total drained (simulated) time so far
   bool died_ = false;
   SimTime died_at_;
+
+  // Caches of Drain's std::pow calls (bit-identical, not snapshot state):
+  // reference_pow_ = pow(reference_current_a, peukert_exponent - 1), and
+  // pow(amps, peukert_exponent) memoized direct-mapped on the exact bits of
+  // amps — a run draws a few dozen distinct currents.  Bits 0 (+0.0 amps,
+  // never raised to the exponent) mark an empty entry.
+  struct PowMemoEntry {
+    std::uint64_t amps_bits = 0;
+    double value = 0.0;
+  };
+  // Recomputes reference_pow_ and empties pow_memo_ for params_.
+  void RefreshPeukertLaw();
+  double PeukertPow(double amps);
+  static constexpr int kPowMemoBits = 6;
+  double reference_pow_ = 0.0;
+  std::array<PowMemoEntry, std::size_t{1} << kPowMemoBits> pow_memo_{};
 };
 
 }  // namespace dcs

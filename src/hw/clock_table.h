@@ -11,6 +11,8 @@
 #define SRC_HW_CLOCK_TABLE_H_
 
 #include <array>
+#include <cmath>
+#include <cstddef>
 
 #include "src/sim/time.h"
 
@@ -27,29 +29,67 @@ inline constexpr double kCrystalMhz = 3.6864;
 // clock change, regardless of endpoints (paper: ~200 us).
 inline constexpr SimTime kClockSwitchStall = SimTime::Micros(200);
 
-// Static facts about the clock steps.  All functions clamp/validate their
-// step argument so governors can be sloppy about bounds.
+// f_k = (16 + 4k) * kCrystalMhz, ascending.
+inline constexpr std::array<double, kNumClockSteps> kClockStepMhz = [] {
+  std::array<double, kNumClockSteps> f{};
+  for (int k = 0; k < kNumClockSteps; ++k) {
+    f[static_cast<std::size_t>(k)] = (16 + 4 * k) * kCrystalMhz;
+  }
+  return f;
+}();
+
+// Static facts about the clock steps, inline because the kernel and the
+// memory model look them up on every segment.  All functions clamp/validate
+// their step argument so governors can be sloppy about bounds.
 class ClockTable {
  public:
   // Frequency of `step` in MHz; steps outside [0, kNumClockSteps) are
   // clamped.
-  static double FrequencyMhz(int step);
+  static double FrequencyMhz(int step) {
+    return kClockStepMhz[static_cast<std::size_t>(Clamp(step))];
+  }
 
   // Frequency in Hz.
   static double FrequencyHz(int step) { return FrequencyMhz(step) * 1e6; }
 
   // Clamps a step index into the valid range.
-  static int Clamp(int step);
+  static int Clamp(int step) {
+    if (step < 0) {
+      return 0;
+    }
+    if (step >= kNumClockSteps) {
+      return kNumClockSteps - 1;
+    }
+    return step;
+  }
 
   // The lowest step whose frequency is >= mhz; returns the top step if no
   // step is fast enough.
-  static int StepForAtLeastMhz(double mhz);
+  static int StepForAtLeastMhz(double mhz) {
+    for (int k = 0; k < kNumClockSteps; ++k) {
+      if (kClockStepMhz[static_cast<std::size_t>(k)] >= mhz) {
+        return k;
+      }
+    }
+    return kNumClockSteps - 1;
+  }
 
   // The step whose frequency is closest to mhz.
-  static int NearestStep(double mhz);
+  static int NearestStep(double mhz) {
+    int best = 0;
+    double best_err = std::abs(kClockStepMhz[0] - mhz);
+    for (int k = 1; k < kNumClockSteps; ++k) {
+      const double err = std::abs(kClockStepMhz[static_cast<std::size_t>(k)] - mhz);
+      if (err < best_err) {
+        best_err = err;
+        best = k;
+      }
+    }
+    return best;
+  }
 
   // All step frequencies, ascending.
-  static const std::array<double, kNumClockSteps>& Frequencies();
+  static const std::array<double, kNumClockSteps>& Frequencies() { return kClockStepMhz; }
 
   static constexpr int MinStep() { return 0; }
   static constexpr int MaxStep() { return kNumClockSteps - 1; }

@@ -104,8 +104,9 @@ Task* Kernel::FindTask(Pid pid) {
   return it == tasks_.end() ? nullptr : it->second.get();
 }
 
-std::vector<Kernel::PendingDeadline> Kernel::PendingDeadlines() const {
-  std::vector<PendingDeadline> pending;
+std::span<const Kernel::PendingDeadline> Kernel::PendingDeadlines() const {
+  std::vector<PendingDeadline>& pending = pending_deadlines_;
+  pending.clear();
   for (const auto& [pid, task] : tasks_) {
     if (task->state() == TaskState::kExited) {
       continue;

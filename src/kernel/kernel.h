@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/hw/itsy.h"
@@ -114,14 +115,17 @@ class Kernel {
 
   // --- Deadline registry (section 6 future work) -----------------------------
   // Announced-but-unfinished compute work: every live task whose current
-  // compute action carries a deadline and still has cycles remaining.
+  // compute action carries a deadline and still has cycles remaining, in pid
+  // order.  The view is filled into a kernel-owned buffer (deadline
+  // governors call this every quantum, so it must not allocate) and stays
+  // valid until the next call.
   struct PendingDeadline {
     Pid pid = 0;
     double remaining_cycles = 0.0;
     SimTime deadline;
     MemoryProfile profile;
   };
-  std::vector<PendingDeadline> PendingDeadlines() const;
+  std::span<const PendingDeadline> PendingDeadlines() const;
 
   const SchedLog& sched_log() const { return sched_log_; }
   SchedLog& sched_log() { return sched_log_; }
@@ -258,6 +262,8 @@ class Kernel {
   TraceSeries* series_freq_mhz_ = nullptr;
   TraceSeries* series_core_volts_ = nullptr;
   Rng rng_;
+  // Backing store for PendingDeadlines().
+  mutable std::vector<PendingDeadline> pending_deadlines_;
 
   // Observability instruments (all null until BindMetrics).
   MetricsRegistry* metrics_ = nullptr;

@@ -15,7 +15,9 @@ void SchedLog::Record(SimTime at, Pid pid, int clock_step) {
   } else {
     buffer_[next_] = entry;
   }
-  next_ = (next_ + 1) % capacity_;
+  if (++next_ == capacity_) {
+    next_ = 0;
+  }
   ++total_;
 }
 

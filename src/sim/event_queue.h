@@ -2,20 +2,21 @@
 //
 // Layout: callbacks live in a slot pool (free-listed vector, no hashing, no
 // per-event allocation thanks to InlineFunction's small-buffer storage); the
-// heap itself holds only 24-byte {time, seq, slot, generation} entries, so
-// sift moves are cheap.  Cancellation is O(1): bumping the slot's generation
-// orphans the heap entry, which is discarded when it surfaces — or swept
-// eagerly by a compaction pass when orphans outnumber live entries 2:1, so a
-// cancel-heavy workload cannot grow the heap without bound.
+// heap itself holds only 24-byte {time, seq, slot} entries, so sift moves
+// are cheap.  The heap is indexed: each heaped slot records its heap
+// position, and every sift move keeps it current, so cancelling a heaped
+// event removes its entry on the spot.  The heap holds exactly the live
+// events ordered so far — nothing to skip at a pop, nothing to compact.
 //
 // Pushes land in an unsorted staging buffer first and are only sifted into
 // the heap when a Pop or NextTime needs ordering.  The kernel frequently
 // schedules a completion and cancels it within the same tick callback (task
 // blocked, task preempted), and a staged event cancels by O(1) swap-erase —
-// it never pays heap work at all.  The slot's spare word records where its
-// event lives (free list link, staging position, or heap) so both cancel
-// paths stay constant-time.  Pop order is the strict (time, seq) order
-// either way, so staging is invisible to simulation results.
+// it never pays heap work, which keeps cancel storms cheap.  The slot's
+// spare word records where its event lives (free list link, staging index,
+// or heap position), so both cancel paths and SeqOf are constant-time.
+// Pop order is the strict (time, seq) order either way, so neither staging
+// nor the index is visible to simulation results.
 //
 // EventId encoding: bits [63:32] hold the slot's generation, bits [31:0] the
 // slot index.  Generations start at 1 and advance every time a slot is freed
@@ -83,10 +84,10 @@ class EventQueue {
   bool Cancel(EventId id);
 
   // True if no live events remain.
-  bool Empty() const { return live_count_ == 0; }
+  bool Empty() const { return heap_.empty() && staging_.empty(); }
 
   // Number of live (non-cancelled, not-yet-fired) events.
-  std::size_t Size() const { return live_count_; }
+  std::size_t Size() const { return heap_.size() + staging_.size(); }
 
   // Time of the earliest live event.  Requires !Empty().
   SimTime NextTime();
@@ -102,29 +103,26 @@ class EventQueue {
   // Removes everything (the queue can be reused afterwards).
   void Clear();
 
-  // Heap entries whose event was cancelled but that have not yet been
-  // discarded by a pop or a compaction sweep (diagnostics: bounded at
-  // 2 * Size() + kCompactSlack by MaybeCompact).
-  std::size_t dead_entries() const { return dead_in_heap_; }
+  // Entries in the ordered heap (diagnostics); equals Size() once a Pop or
+  // NextTime has flushed the staging buffer.
+  std::size_t heap_entries() const { return heap_.size(); }
 
   // Original insertion sequence number of a live event.  The snapshot layer
   // records it at save time so restored events can be re-armed in their
-  // original FIFO tie-break order (src/sim/snapshot.h).  O(pending events) —
-  // a linear scan over staging and heap, paid only when a snapshot is taken.
-  // Returns 0 for ids that are no longer live.
+  // original FIFO tie-break order (src/sim/snapshot.h).  Returns 0 for ids
+  // that are no longer live.
   std::uint64_t SeqOf(EventId id) const;
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-  // Compacting tiny heaps isn't worth the pass; below this many orphans the
-  // 2:1 dead/live bound is not enforced.
-  static constexpr std::size_t kCompactSlack = 64;
+  // Tags a slot link as a staging index rather than a heap position.
+  static constexpr std::uint32_t kStaged = 0x80000000u;
 
   struct Slot {
     std::uint32_t generation = 1;
     // While free: index of the next free slot (kNoSlot ends the list).
-    // While occupied: 1 + the event's staging_ index, or 0 once the entry
-    // has been flushed into the heap.
+    // While occupied: kStaged | the event's staging_ index, or its heap_
+    // position once flushed.
     std::uint32_t link = kNoSlot;
     EventFn fn;
   };
@@ -132,7 +130,6 @@ class EventQueue {
     SimTime at;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t generation;
   };
 
   static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
@@ -142,12 +139,18 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  bool IsLive(const HeapEntry& e) const {
-    return slots_[e.slot].generation == e.generation;
+  // The live slot `id` names, or kNoSlot if the id is stale.
+  std::uint32_t LiveSlot(EventId id) const {
+    const std::uint32_t slot = static_cast<std::uint32_t>(id);
+    const std::uint32_t generation = static_cast<std::uint32_t>(id >> 32);
+    if (slot >= slots_.size() || slots_[slot].generation != generation) {
+      return kNoSlot;
+    }
+    return slot;
   }
 
-  // Frees `slot` (destroys its callback, orphans any heap entry) and returns
-  // it to the free list.
+  // Frees `slot` (destroys its callback, invalidates its ids) and returns it
+  // to the free list.
   void ReleaseSlot(std::uint32_t slot) {
     Slot& s = slots_[slot];
     s.fn = nullptr;
@@ -163,6 +166,12 @@ class EventQueue {
     if (!staging_.empty()) {
       FlushStaging();
     }
+  }
+
+  // Stores `entry` at heap position `i` and records that in its slot.
+  void Place(std::size_t i, const HeapEntry& entry) {
+    heap_[i] = entry;
+    slots_[entry.slot].link = static_cast<std::uint32_t>(i);
   }
 
   // Index of the smallest child of heap_[i], or n if i is a leaf.
@@ -188,42 +197,41 @@ class EventQueue {
     return best;
   }
 
-  void SiftUp(std::size_t i);
-  void SiftDown(std::size_t i);
+  // Places `entry` at position i or above, wherever the heap order puts it.
+  void SiftUp(std::size_t i, const HeapEntry& entry) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 4;
+      if (!Earlier(entry, heap_[parent])) {
+        break;
+      }
+      Place(i, heap_[parent]);
+      i = parent;
+    }
+    Place(i, entry);
+  }
 
-  // Removes the root via a hole sift: walk the hole at the root down to a
-  // leaf pulling the smaller child up (3 compares per level, no compare
-  // against a sinking entry), then drop the detached last element into the
-  // hole and float it up — since it came from the leaf level it rarely moves
-  // more than a step.
-  void PopRoot() {
+  // Removes the entry at heap position `hole` (the root for a pop, any
+  // position for a cancel) via a hole sift: walk the hole down to a leaf
+  // pulling the smaller child up (3 compares per level, no compare against
+  // a sinking entry), then drop the detached last element into the hole and
+  // float it up — past the hole's start, for a mid-heap cancel, if needed.
+  void RemoveAt(std::size_t hole) {
     const HeapEntry last = heap_.back();
     heap_.pop_back();
     const std::size_t n = heap_.size();
-    if (n == 0) {
+    if (hole == n) {
       return;
     }
-    std::size_t hole = 0;
     for (;;) {
       const std::size_t best = MinChild(hole, n);
       if (best >= n) {
         break;
       }
-      heap_[hole] = heap_[best];
+      Place(hole, heap_[best]);
       hole = best;
     }
-    heap_[hole] = last;
-    SiftUp(hole);
+    SiftUp(hole, last);
   }
-  // Drops orphaned entries sitting at the root so heap_[0] is live.
-  void SkipDead() {
-    while (!heap_.empty() && !IsLive(heap_[0])) {
-      PopRoot();
-      --dead_in_heap_;
-    }
-  }
-  // Rebuilds the heap without orphans once they outnumber live entries 2:1.
-  void MaybeCompact();
 
   ArenaVector<Slot> slots_;
   ArenaVector<HeapEntry> heap_;
@@ -231,8 +239,6 @@ class EventQueue {
   ArenaVector<HeapEntry> staging_;
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 0;
-  std::size_t live_count_ = 0;
-  std::size_t dead_in_heap_ = 0;
 };
 
 template <typename F>
@@ -242,7 +248,8 @@ inline EventId EventQueue::Push(SimTime at, F&& fn) {
     slot = free_head_;
     free_head_ = slots_[slot].link;
   } else {
-    assert(slots_.size() < kNoSlot && "slot index space exhausted");
+    // Heap positions and staging indices must stay below the kStaged tag.
+    assert(slots_.size() < kStaged && "slot index space exhausted");
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   }
@@ -252,70 +259,58 @@ inline EventId EventQueue::Push(SimTime at, F&& fn) {
   } else {
     s.fn.Emplace(std::forward<F>(fn));
   }
-  staging_.push_back(HeapEntry{at, next_seq_++, slot, s.generation});
-  s.link = static_cast<std::uint32_t>(staging_.size());  // staging index + 1
-  ++live_count_;
+  s.link = kStaged | static_cast<std::uint32_t>(staging_.size());
+  staging_.push_back(HeapEntry{at, next_seq_++, slot});
   return (static_cast<EventId>(s.generation) << 32) | slot;
 }
 
 inline bool EventQueue::Cancel(EventId id) {
-  const std::uint32_t slot = static_cast<std::uint32_t>(id);
-  const std::uint32_t generation = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size() || slots_[slot].generation != generation) {
+  const std::uint32_t slot = LiveSlot(id);
+  if (slot == kNoSlot) {
     return false;
   }
-  const std::uint32_t staged = slots_[slot].link;
+  const std::uint32_t link = slots_[slot].link;
   ReleaseSlot(slot);
-  --live_count_;
-  if (staged != 0) {
-    // Still in the staging buffer: remove it outright by swapping the tail
-    // into its place — no heap entry ever existed for it.
-    const std::size_t pos = staged - 1;
-    if (pos + 1 != staging_.size()) {
-      staging_[pos] = staging_.back();
-      slots_[staging_[pos].slot].link = staged;
-    }
-    staging_.pop_back();
+  if ((link & kStaged) == 0) {
+    RemoveAt(link);
     return true;
   }
-  ++dead_in_heap_;
-  MaybeCompact();
-  return true;
-}
-
-inline void EventQueue::SiftUp(std::size_t i) {
-  HeapEntry entry = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!Earlier(entry, heap_[parent])) {
-      break;
-    }
-    heap_[i] = heap_[parent];
-    i = parent;
+  // Still in the staging buffer: remove it outright by swapping the tail
+  // into its place — no heap entry ever existed for it.
+  const std::size_t pos = link & ~kStaged;
+  if (pos + 1 != staging_.size()) {
+    staging_[pos] = staging_.back();
+    slots_[staging_[pos].slot].link = link;
   }
-  heap_[i] = entry;
+  staging_.pop_back();
+  return true;
 }
 
 inline SimTime EventQueue::NextTime() {
   Flush();
-  SkipDead();
   assert(!heap_.empty() && "NextTime() on empty queue");
   return heap_[0].at;
 }
 
 inline EventQueue::Entry EventQueue::Pop() {
   Flush();
-  SkipDead();
   assert(!heap_.empty() && "Pop() on empty queue");
   const HeapEntry top = heap_[0];
-  PopRoot();
+  RemoveAt(0);
   Slot& s = slots_[top.slot];
-  Entry entry{top.at,
-              (static_cast<EventId>(top.generation) << 32) | top.slot,
+  Entry entry{top.at, (static_cast<EventId>(s.generation) << 32) | top.slot,
               std::move(s.fn)};
   ReleaseSlot(top.slot);
-  --live_count_;
   return entry;
+}
+
+inline std::uint64_t EventQueue::SeqOf(EventId id) const {
+  const std::uint32_t slot = LiveSlot(id);
+  if (slot == kNoSlot) {
+    return 0;
+  }
+  const std::uint32_t link = slots_[slot].link;
+  return (link & kStaged) != 0 ? staging_[link & ~kStaged].seq : heap_[link].seq;
 }
 
 }  // namespace dcs

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+
+#include "src/sim/rng.h"
 
 namespace dcs {
 namespace {
@@ -122,6 +127,102 @@ TEST(BatteryTest, IdealBatteryHasLinearLifetime) {
   const double t1 = battery.LifetimeHoursAtConstantPower(1.0);
   const double t2 = battery.LifetimeHoursAtConstantPower(2.0);
   EXPECT_NEAR(t1 / t2, 2.0, 1e-9);
+}
+
+// Battery::Drain's arithmetic written out with std::pow evaluated on every
+// call: the reference the memoized model must match bit for bit.
+struct PowEveryCallBattery {
+  BatteryParams params;
+  double depth = 0.0;
+  double recoverable = 0.0;
+  SimTime life;
+  bool died = false;
+  SimTime died_at;
+
+  void Drain(double watts, SimTime dt) {
+    if (dt <= SimTime::Zero() || watts < 0.0) {
+      return;
+    }
+    const SimTime life_before = life;
+    const double depth_before = depth;
+    life = life + dt;
+    const double hours = dt.ToSeconds() / 3600.0;
+    const double amps = watts / params.supply_volts;
+    if (amps <= 0.0) {
+      const double recovered = std::min(recoverable, recoverable * params.recovery_per_hour * hours);
+      recoverable -= recovered;
+      depth = std::max(0.0, depth - recovered);
+      return;
+    }
+    const double peukert_rate = std::pow(amps, params.peukert_exponent) / params.peukert_capacity;
+    const double ideal_rate =
+        amps * std::pow(params.reference_current_a, params.peukert_exponent - 1.0) /
+        params.peukert_capacity;
+    depth += peukert_rate * hours;
+    if (!died && depth >= 1.0) {
+      died = true;
+      const double rise = depth - depth_before;
+      const double frac = rise > 0.0 ? std::clamp((1.0 - depth_before) / rise, 0.0, 1.0) : 1.0;
+      died_at = life_before + SimTime::FromSecondsF(dt.ToSeconds() * frac);
+    }
+    if (peukert_rate > ideal_rate) {
+      recoverable += params.recoverable_fraction * (peukert_rate - ideal_rate) * hours;
+    } else {
+      const double recovered = std::min(recoverable, recoverable * params.recovery_per_hour * hours);
+      recoverable -= recovered;
+      depth = std::max(0.0, depth - recovered);
+    }
+  }
+};
+
+TEST(BatteryTest, MemoizedPowMatchesPowEveryCall) {
+  // Drain repeats a few dozen distinct currents, so Battery memoizes
+  // pow(amps, k) and pow(reference, k - 1).  Drive it with watts drawn from
+  // a small pool, interleaved with SetParams calls that change only the
+  // capacity (the fleet's per-device jitter: the memo survives) or the
+  // exponent or reference current (the memo must be dropped), and demand
+  // bit-equal state against the pow-every-call reference.
+  constexpr double kWattsPool[] = {0.0, 0.11, 0.2941, 0.35, 0.6, 1.029, 1.5, 2.2};
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Battery battery;
+    PowEveryCallBattery ref;
+    Rng rng(seed);
+    int law_changes = 0;
+    for (int step = 0; step < 20'000; ++step) {
+      if (step % 500 == 499) {
+        BatteryParams params = ref.params;
+        switch (rng.UniformInt(0, 2)) {
+          case 0:
+            params.peukert_capacity = 0.2892 * rng.Uniform(0.9, 1.1);
+            break;
+          case 1:
+            params.peukert_exponent = rng.Uniform(1.0, 2.0);
+            ++law_changes;
+            break;
+          default:
+            params.reference_current_a = rng.Uniform(0.05, 0.3);
+            ++law_changes;
+            break;
+        }
+        battery.SetParams(params);
+        ref.params = params;
+      }
+      const double watts = kWattsPool[rng.UniformInt(0, std::size(kWattsPool) - 1)];
+      const SimTime dt = SimTime::Micros(rng.UniformInt(1, 2'000'000));
+      battery.Drain(watts, dt);
+      ref.Drain(watts, dt);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(battery.DepthOfDischarge()),
+                std::bit_cast<std::uint64_t>(ref.depth))
+          << "step " << step << " seed " << seed;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(battery.RecoverablePool()),
+                std::bit_cast<std::uint64_t>(ref.recoverable))
+          << "step " << step << " seed " << seed;
+      ASSERT_EQ(battery.Died(), ref.died) << "step " << step << " seed " << seed;
+      ASSERT_EQ(battery.DiedAt(), ref.died_at) << "step " << step << " seed " << seed;
+    }
+    EXPECT_GT(law_changes, 0) << "seed " << seed;
+    EXPECT_TRUE(ref.died) << "seed " << seed << ": DiedAt was never exercised";
+  }
 }
 
 }  // namespace

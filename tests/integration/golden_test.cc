@@ -200,9 +200,14 @@ std::string GoldenShaFor(const std::string& artifact_name) {
 
 void ExpectArtifactsGolden(const std::string& bench, const std::string& artifact,
                            const std::string& args) {
-  const std::string dir = ::testing::TempDir();
-  const std::string trace_path = dir + "/" + artifact + ".trace.json";
-  const std::string metrics_path = dir + "/" + artifact + ".metrics.json";
+  // Paths carry the test's name: tests sharing an artifact name run
+  // concurrently under ctest -j, and one must not read (or remove) the
+  // other's files.
+  const std::string prefix = ::testing::TempDir() + "/" +
+                             ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                             "." + artifact;
+  const std::string trace_path = prefix + ".trace.json";
+  const std::string metrics_path = prefix + ".metrics.json";
   const std::string command = BenchDir() + "/" + bench + " " + args +
                               " --trace-out=" + trace_path +
                               " --metrics-out=" + metrics_path +

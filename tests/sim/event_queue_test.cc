@@ -170,14 +170,14 @@ TEST(EventQueueTest, ManyEventsStressOrdering) {
 
 TEST(EventQueueTest, MillionCancelsKeepDeadEntriesBounded) {
   // Regression for the unbounded-heap hazard: a workload that cancels almost
-  // everything it schedules (timeouts that rarely fire) used to leave one
-  // lazily-deleted heap entry per cancel, so the heap grew without bound.
-  // MaybeCompact promises dead <= 2 * live + slack at all times.
+  // everything it schedules (timeouts that rarely fire) must not leave one
+  // heap entry per cancel behind.  The indexed heap removes a cancelled
+  // entry on the spot, so after every batch the heap holds exactly the live
+  // events — no dead entries at all.
   EventQueue q;
   Rng rng(0xC0FFEEu);
   std::vector<EventId> pending;
   std::size_t cancelled = 0;
-  std::size_t max_dead = 0;
   while (cancelled < 1'000'000) {
     // Keep ~64 live events and cancel everything else before it fires.
     while (pending.size() < 64) {
@@ -185,7 +185,7 @@ TEST(EventQueueTest, MillionCancelsKeepDeadEntriesBounded) {
           q.Push(SimTime::Micros(rng.UniformInt(0, 1'000'000)), [] {}));
     }
     // Force the staged entries into the heap so the cancels below exercise
-    // the lazy-delete path, not the staging swap-erase.
+    // the mid-heap removal path, not the staging swap-erase.
     (void)q.NextTime();
     for (int i = 0; i < 48; ++i) {
       const std::size_t victim =
@@ -195,11 +195,8 @@ TEST(EventQueueTest, MillionCancelsKeepDeadEntriesBounded) {
       pending.pop_back();
       ++cancelled;
     }
-    max_dead = std::max(max_dead, q.dead_entries());
-    ASSERT_LE(q.dead_entries(), 2 * q.Size() + 64)
-        << "after " << cancelled << " cancels";
+    ASSERT_EQ(q.heap_entries(), q.Size()) << "after " << cancelled << " cancels";
   }
-  EXPECT_LE(max_dead, 2 * 64 + 64);
   EXPECT_EQ(q.Size(), pending.size());
 }
 
@@ -249,6 +246,13 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstSortedVector) {
   // (including FIFO tie-breaks — times are drawn from a tiny range so ties
   // are common), which callback fired, and cancel return values for live,
   // popped, cancelled, and pre-Clear ids.
+  //
+  // One more input mode replays the kernel's quantum pattern: flush the
+  // staging buffer, cancel an already-heaped event from mid-heap (the
+  // running task's completion), re-arm it at a new time, and repeat for many
+  // rounds — the path that leaves no orphan behind in the indexed heap.
+  // Throughout, SeqOf must report each live event's insertion sequence and
+  // 0 for stale ids, whether the event is staged or heaped.
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     EventQueue q;
     RefModel ref;
@@ -256,14 +260,29 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstSortedVector) {
     std::vector<EventId> stale;  // ids no longer live: must all Cancel()==false
     std::vector<int> fired;
     int next_payload = 0;
+    auto push = [&](SimTime at) {
+      const int payload = next_payload++;
+      const EventId id = q.Push(at, [&fired, payload] { fired.push_back(payload); });
+      ref.Push(at, id, payload);
+    };
     for (int step = 0; step < 20'000; ++step) {
-      const std::int64_t r = rng.UniformInt(0, 99);
+      const std::int64_t r = rng.UniformInt(0, 104);
       if (r < 45 || ref.events.empty()) {
-        const SimTime at = SimTime::Micros(rng.UniformInt(0, 15));
-        const int payload = next_payload++;
-        const EventId id =
-            q.Push(at, [&fired, payload] { fired.push_back(payload); });
-        ref.Push(at, id, payload);
+        push(SimTime::Micros(rng.UniformInt(0, 15)));
+      } else if (r >= 100) {
+        // Kernel rounds: flush, cancel a heaped entry, re-arm it.
+        const int rounds = static_cast<int>(rng.UniformInt(1, 64));
+        for (int round = 0; round < rounds && !ref.events.empty(); ++round) {
+          (void)q.NextTime();
+          ASSERT_EQ(q.heap_entries(), q.Size()) << "step " << step << " seed " << seed;
+          const std::size_t victim = static_cast<std::size_t>(
+              rng.UniformInt(0, static_cast<std::int64_t>(ref.events.size()) - 1));
+          const EventId id = ref.events[victim].id;
+          ASSERT_TRUE(ref.Cancel(id));
+          ASSERT_TRUE(q.Cancel(id)) << "step " << step << " seed " << seed;
+          stale.push_back(id);
+          push(SimTime::Micros(rng.UniformInt(0, 15)));
+        }
       } else if (r < 70) {
         const std::size_t victim = static_cast<std::size_t>(
             rng.UniformInt(0, static_cast<std::int64_t>(ref.events.size()) - 1));
@@ -296,6 +315,14 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstSortedVector) {
       }
       ASSERT_EQ(q.Size(), ref.events.size());
       ASSERT_EQ(q.Empty(), ref.events.empty());
+      if (!ref.events.empty()) {
+        const RefModel::Ev& ev = ref.events[static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<std::int64_t>(ref.events.size()) - 1))];
+        ASSERT_EQ(q.SeqOf(ev.id), ev.seq) << "step " << step << " seed " << seed;
+      }
+      if (!stale.empty()) {
+        ASSERT_EQ(q.SeqOf(stale.back()), 0u) << "step " << step << " seed " << seed;
+      }
     }
     // Drain: the remaining pops must come out in exact reference order.
     while (!ref.events.empty()) {
@@ -320,9 +347,39 @@ TEST(EventQueueTest, CancelWhileStagedThenReuseSlot) {
   const EventId c = q.Push(SimTime::Millis(3), [] {});
   EXPECT_FALSE(q.Cancel(a));
   EXPECT_FALSE(q.Cancel(b));
-  EXPECT_EQ(q.dead_entries(), 0u);
+  EXPECT_EQ(q.NextTime(), SimTime::Millis(3));
+  EXPECT_EQ(q.heap_entries(), q.Size());
   EXPECT_EQ(q.Pop().id, c);
   EXPECT_TRUE(q.Empty());
+}
+
+TEST(EventQueueTest, SeqOfCoversStagedHeapedAndStaleIds) {
+  // Snapshots save SeqOf's value to re-arm events in their original FIFO
+  // order, so it must be right wherever the event lives.
+  EventQueue q;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 40; ++i) {
+    ids.push_back(q.Push(SimTime::Micros(40 - i), [] {}));
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(q.SeqOf(ids[i]), i) << "staged id " << i;
+  }
+  (void)q.NextTime();  // flush: every event is now heaped
+  ASSERT_EQ(q.heap_entries(), ids.size());
+  // Mid-heap cancels move other entries; their seqs must follow them.
+  for (std::size_t i = 5; i < ids.size(); i += 7) {
+    ASSERT_TRUE(q.Cancel(ids[i]));
+  }
+  const EventId popped = q.Pop().id;
+  EXPECT_EQ(popped, ids.back());  // the earliest time was pushed last
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const bool gone = (i >= 5 && (i - 5) % 7 == 0) || ids[i] == popped;
+    EXPECT_EQ(q.SeqOf(ids[i]), gone ? 0u : i) << "id " << i;
+  }
+  // A staged push next to heaped ones continues the sequence.
+  const EventId late = q.Push(SimTime::Micros(1), [] {});
+  EXPECT_EQ(q.SeqOf(late), ids.size());
+  EXPECT_EQ(q.SeqOf(kInvalidEventId), 0u);
 }
 
 }  // namespace
