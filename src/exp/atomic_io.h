@@ -23,13 +23,14 @@
 #include <functional>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace dcs {
 
 // CRC32 (reflected, polynomial 0xEDB88320) of `len` bytes, continuing from
 // `seed` (pass a previous return value to checksum in chunks; 0 to start).
 std::uint32_t Crc32(const void* data, std::size_t len, std::uint32_t seed = 0);
-inline std::uint32_t Crc32(const std::string& s, std::uint32_t seed = 0) {
+inline std::uint32_t Crc32(std::string_view s, std::uint32_t seed = 0) {
   return Crc32(s.data(), s.size(), seed);
 }
 

@@ -116,11 +116,11 @@ SweepJobResult CampaignRunner::RunJobWithWatchdog(const ExperimentConfig& config
 std::vector<SweepJobResult> CampaignRunner::Run(const std::vector<ExperimentConfig>& configs) {
   const CampaignOptions& campaign = options_.campaign;
   const std::uint32_t job_count = static_cast<std::uint32_t>(configs.size());
-  const std::uint64_t grid_fp = GridFingerprint(configs);
   std::vector<std::uint64_t> config_fps(configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
     config_fps[i] = ConfigFingerprint(configs[i]);
   }
+  const std::uint64_t grid_fp = GridFingerprint(config_fps);
 
   report_ = CampaignReport{};
   report_.jobs = static_cast<int>(job_count);

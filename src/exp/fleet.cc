@@ -1,6 +1,5 @@
 #include "src/exp/fleet.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <sstream>
@@ -9,6 +8,7 @@
 
 #include "src/exp/atomic_io.h"
 #include "src/exp/device_sim.h"
+#include "src/obs/metrics.h"
 #include "src/sim/rng.h"
 #include "src/sim/simulator.h"
 #include "src/sim/snapshot.h"
@@ -21,23 +21,8 @@ namespace {
 // counters for the journal.
 __extension__ typedef unsigned __int128 U128;
 
-// splitmix64 finalizer: seed derivation for cells and jitter streams.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 // Jitter stream tags (arbitrary constants, fixed forever for determinism).
 constexpr std::uint64_t kBatteryJitterTag = 0xba77e21fULL;
-
-// Shortest round-trip decimal rendering, matching the other JSON emitters.
-std::string FormatDouble(double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
-}
 
 // Exact per-shard aggregate.  Every field is integer-valued (histograms
 // observe pre-rounded integers), so folding shards is associative and
@@ -158,7 +143,8 @@ void FleetRunner::Plan() {
                                     ((2.0 * v + 1.0) / static_cast<double>(variants) - 1.0);
       cell.first_device = variant_begin;
       cell.count = variant_end - variant_begin;
-      cell.cell_seed = Mix(spec_.seed ^ Mix(static_cast<std::uint64_t>(cells_.size()) + 1));
+      cell.cell_seed =
+          SplitMix64(spec_.seed ^ SplitMix64(static_cast<std::uint64_t>(cells_.size()) + 1));
       cells_.push_back(cell);
       variant_begin = variant_end;
     }
@@ -176,15 +162,18 @@ void FleetRunner::Plan() {
     }
   }
 
-  // Shard-config seeds: a fleet-identity mix (seed, horizon, warmup, jitter)
-  // plus the shard's first device id.  Unique per shard — device blocks are
-  // disjoint — and different fleets get different grid fingerprints, so a
-  // journal written for one fleet can never replay into another.
-  std::uint64_t identity = Mix(spec_.seed);
-  identity = Mix(identity ^ static_cast<std::uint64_t>(spec_.warmup.nanos()));
-  identity = Mix(identity ^ static_cast<std::uint64_t>(spec_.duration.nanos()));
-  identity = Mix(identity ^ static_cast<std::uint64_t>(spec_.jitter.battery_capacity * 1e9));
-  identity = Mix(identity ^ static_cast<std::uint64_t>(spec_.jitter.arrival_rate * 1e9));
+  // Shard-config seeds: a fleet-identity mix (seed, horizon, warmup, jitter,
+  // device count) plus the shard's first device id.  Unique per shard —
+  // device blocks are disjoint — and different fleets get different grid
+  // fingerprints, so a journal written for one fleet can never replay into
+  // another.  The device count is the one thing a shard's config does not
+  // otherwise pin: it sets the last shard's size.
+  std::uint64_t identity = SplitMix64(spec_.seed);
+  identity = SplitMix64(identity ^ static_cast<std::uint64_t>(spec_.warmup.nanos()));
+  identity = SplitMix64(identity ^ static_cast<std::uint64_t>(spec_.duration.nanos()));
+  identity = SplitMix64(identity ^ static_cast<std::uint64_t>(spec_.jitter.battery_capacity * 1e9));
+  identity = SplitMix64(identity ^ static_cast<std::uint64_t>(spec_.jitter.arrival_rate * 1e9));
+  identity = SplitMix64(identity ^ spec_.devices);
   seed_base_ = identity;
   shard_by_seed_.clear();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -234,7 +223,7 @@ ExperimentResult FleetRunner::RunShard(const ExperimentConfig& config) const {
   SnapshotWriter image;
   dev.SaveState(&image);
 
-  const Rng battery_jitter_base(Mix(spec_.seed ^ kBatteryJitterTag));
+  const Rng battery_jitter_base(SplitMix64(spec_.seed ^ kBatteryJitterTag));
   const bool jitter_battery =
       spec_.jitter.battery_capacity > 0.0 && dev_config.itsy.battery.has_value();
 
@@ -407,17 +396,17 @@ std::string RenderFleetJson(const FleetReport& report) {
   os << "{\"fleet\":{";
   os << "\"devices\":" << report.devices;
   os << ",\"missing_devices\":" << report.missing_devices;
-  os << ",\"energy_mean_j\":" << FormatDouble(report.energy_mean_j);
-  os << ",\"energy_stddev_j\":" << FormatDouble(report.energy_stddev_j);
+  os << ",\"energy_mean_j\":" << JsonNumber(report.energy_mean_j);
+  os << ",\"energy_stddev_j\":" << JsonNumber(report.energy_stddev_j);
   os << ",\"deadline_events\":" << report.deadline_events;
   os << ",\"deadline_misses\":" << report.deadline_misses;
   os << ",\"deadline_rejected\":" << report.deadline_rejected;
   os << ",\"deadline_shed\":" << report.deadline_shed;
-  os << ",\"miss_rate\":" << FormatDouble(report.miss_rate);
+  os << ",\"miss_rate\":" << JsonNumber(report.miss_rate);
   os << ",\"battery_deaths\":" << report.battery_deaths;
-  os << ",\"death_fraction\":" << FormatDouble(report.death_fraction);
-  os << ",\"death_time_p50_s\":" << FormatDouble(report.death_time_p50_s);
-  os << ",\"death_time_p95_s\":" << FormatDouble(report.death_time_p95_s);
+  os << ",\"death_fraction\":" << JsonNumber(report.death_fraction);
+  os << ",\"death_time_p50_s\":" << JsonNumber(report.death_time_p50_s);
+  os << ",\"death_time_p95_s\":" << JsonNumber(report.death_time_p95_s);
   os << ",\"quanta\":" << report.quanta;
   os << ",\"clock_changes\":" << report.clock_changes;
   os << "},\"metrics\":";

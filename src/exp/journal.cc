@@ -17,9 +17,10 @@ constexpr std::uint8_t kHeaderFrame = 1;
 constexpr std::uint8_t kRecordFrame = 2;
 
 // Guards against absurd lengths from corrupt size fields before any
-// allocation happens.
+// allocation happens (strings are capped by SnapshotReader::kMaxString).
 constexpr std::uint32_t kMaxPayload = 256u << 20;  // 256 MiB
-constexpr std::uint32_t kMaxString = 64u << 20;
+// magic, payload length, crc: three u32s.
+constexpr std::size_t kPrologueBytes = 12;
 
 void SetIoError(std::string* error, const std::string& path, const char* op) {
   if (error != nullptr) {
@@ -30,220 +31,161 @@ void SetIoError(std::string* error, const std::string& path, const char* op) {
 
 }  // namespace
 
-// --- ByteReader -------------------------------------------------------------
-
-bool ByteReader::Take(void* p, std::size_t n) {
-  if (!ok_ || data_.size() - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  std::memcpy(p, data_.data() + pos_, n);
-  pos_ += n;
-  return true;
-}
-
-std::uint8_t ByteReader::U8() {
-  std::uint8_t v = 0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-std::uint32_t ByteReader::U32() {
-  std::uint32_t v = 0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-std::uint64_t ByteReader::U64() {
-  std::uint64_t v = 0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-std::int64_t ByteReader::I64() {
-  std::int64_t v = 0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-double ByteReader::F64() {
-  double v = 0.0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-std::string ByteReader::Str() {
-  const std::uint32_t len = U32();
-  if (!ok_ || len > kMaxString || data_.size() - pos_ < len) {
-    ok_ = false;
-    return std::string();
-  }
-  std::string s(data_, pos_, len);
-  pos_ += len;
-  return s;
-}
-
 // --- Fingerprints -----------------------------------------------------------
 
 namespace {
 
-class Fnv1a {
- public:
-  void Bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash_ ^= b[i];
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  void U64(std::uint64_t v) { Bytes(&v, sizeof(v)); }
-  void I64(std::int64_t v) { Bytes(&v, sizeof(v)); }
-  void I32(std::int32_t v) { Bytes(&v, sizeof(v)); }
-  void F64(double v) { Bytes(&v, sizeof(v)); }
-  void Time(SimTime t) { I64(t.nanos()); }
-  void Str(const std::string& s) {
-    U64(s.size());
-    Bytes(s.data(), s.size());
-  }
+// The fingerprint's own field encodings (see EncodeConfig in journal.h).
+void PutStr(SnapshotWriter* w, const std::string& s) {
+  w->U64(s.size());
+  w->Bytes(s.data(), s.size());
+}
 
-  std::uint64_t hash() const { return hash_; }
+void PutI32(SnapshotWriter* w, std::int32_t v) { w->U32(static_cast<std::uint32_t>(v)); }
 
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
-
-void HashMemoryProfile(Fnv1a& h, const MemoryProfile& p) {
-  h.F64(p.word_refs_per_kilocycle);
-  h.F64(p.line_fills_per_kilocycle);
+void PutProfile(SnapshotWriter* w, const MemoryProfile& p) {
+  w->F64(p.word_refs_per_kilocycle);
+  w->F64(p.line_fills_per_kilocycle);
 }
 
 }  // namespace
 
-std::uint64_t ConfigFingerprint(const ExperimentConfig& c) {
-  Fnv1a h;
-  h.Str(c.app);
-  h.Str(c.governor);
-  h.U64(c.seed);
-  h.I64(c.duration.has_value() ? c.duration->nanos() : std::int64_t{-1});
-  h.Str(c.faults);
+void EncodeConfig(const ExperimentConfig& c, SnapshotWriter* w) {
+  PutStr(w, c.app);
+  PutStr(w, c.governor);
+  w->U64(c.seed);
+  w->I64(c.duration.has_value() ? c.duration->nanos() : std::int64_t{-1});
+  PutStr(w, c.faults);
 
-  h.I32(c.mpeg.has_value() ? 1 : 0);
+  PutI32(w, c.mpeg.has_value() ? 1 : 0);
   if (c.mpeg.has_value()) {
     const MpegConfig& m = *c.mpeg;
-    h.F64(m.fps);
-    h.Time(m.duration);
-    h.F64(m.mean_decode_ms_at_top);
-    h.I32(m.gop_length);
-    h.F64(m.i_factor);
-    h.F64(m.p_factor);
-    h.F64(m.b_factor);
-    h.F64(m.jitter_stddev);
-    h.Time(m.spin_threshold);
-    h.I32(static_cast<std::int32_t>(m.pacing));
-    h.I32(m.elastic ? 1 : 0);
-    HashMemoryProfile(h, m.video_profile);
-    HashMemoryProfile(h, m.audio_profile);
-    h.Time(m.frame_tolerance);
-    h.Time(m.audio_period);
-    h.F64(m.audio_refill_ms_at_top);
-    h.Time(m.av_sync_tolerance);
+    w->F64(m.fps);
+    w->Time(m.duration);
+    w->F64(m.mean_decode_ms_at_top);
+    PutI32(w, m.gop_length);
+    w->F64(m.i_factor);
+    w->F64(m.p_factor);
+    w->F64(m.b_factor);
+    w->F64(m.jitter_stddev);
+    w->Time(m.spin_threshold);
+    PutI32(w, static_cast<std::int32_t>(m.pacing));
+    PutI32(w, m.elastic ? 1 : 0);
+    PutProfile(w, m.video_profile);
+    PutProfile(w, m.audio_profile);
+    w->Time(m.frame_tolerance);
+    w->Time(m.audio_period);
+    w->F64(m.audio_refill_ms_at_top);
+    w->Time(m.av_sync_tolerance);
   }
 
-  h.I32(c.server.has_value() ? 1 : 0);
+  PutI32(w, c.server.has_value() ? 1 : 0);
   if (c.server.has_value()) {
     const ServerConfig& s = *c.server;
-    h.I32(static_cast<std::int32_t>(s.arrivals));
-    h.F64(s.rate_rps);
-    h.Time(s.duration);
-    h.Time(s.slo);
-    h.F64(s.service_ms_at_top);
-    h.F64(s.max_service_factor);
-    HashMemoryProfile(h, s.profile);
-    h.F64(s.burst_rate_factor);
-    h.Time(s.calm_dwell_mean);
-    h.Time(s.burst_dwell_mean);
-    h.I32(s.onoff_sources);
-    h.F64(s.pareto_shape);
-    h.Time(s.pareto_on_min);
-    h.Time(s.pareto_off_min);
-    h.U64(s.streams.size());
+    PutI32(w, static_cast<std::int32_t>(s.arrivals));
+    w->F64(s.rate_rps);
+    w->Time(s.duration);
+    w->Time(s.slo);
+    w->F64(s.service_ms_at_top);
+    w->F64(s.max_service_factor);
+    PutProfile(w, s.profile);
+    w->F64(s.burst_rate_factor);
+    w->Time(s.calm_dwell_mean);
+    w->Time(s.burst_dwell_mean);
+    PutI32(w, s.onoff_sources);
+    w->F64(s.pareto_shape);
+    w->Time(s.pareto_on_min);
+    w->Time(s.pareto_off_min);
+    w->U64(s.streams.size());
     for (const ServerStreamClass& cls : s.streams) {
-      h.Str(cls.name);
-      h.F64(cls.value);
-      h.F64(cls.weight);
+      PutStr(w, cls.name);
+      w->F64(cls.value);
+      w->F64(cls.weight);
     }
     const AdmissionConfig& a = s.admission;
-    h.I32(static_cast<std::int32_t>(a.policy));
-    h.F64(a.utilization_bound);
-    h.F64(a.target_violation_rate);
-    h.F64(a.decrease_factor);
-    h.F64(a.increase_step);
-    h.F64(a.min_bound);
-    h.F64(a.max_bound);
-    h.I32(a.feedback_window);
-    h.F64(a.demand_ewma_weight);
-    h.F64(a.speed_ewma_weight);
-    h.F64(a.battery_shed_dod);
-    h.Time(a.brownout_shed_hold);
-    h.F64(a.degraded_bound_factor);
+    PutI32(w, static_cast<std::int32_t>(a.policy));
+    w->F64(a.utilization_bound);
+    w->F64(a.target_violation_rate);
+    w->F64(a.decrease_factor);
+    w->F64(a.increase_step);
+    w->F64(a.min_bound);
+    w->F64(a.max_bound);
+    PutI32(w, a.feedback_window);
+    w->F64(a.demand_ewma_weight);
+    w->F64(a.speed_ewma_weight);
+    w->F64(a.battery_shed_dod);
+    w->Time(a.brownout_shed_hold);
+    w->F64(a.degraded_bound_factor);
   }
 
   const ItsyConfig& i = c.itsy;
-  h.F64(i.power.core_dynamic_mw_per_v2mhz);
-  h.F64(i.power.core_static_busy_mw);
-  h.F64(i.power.nap_mw_per_v2mhz);
-  h.F64(i.power.stall_mw);
-  h.F64(i.power.peripherals_mw);
-  h.F64(i.power.audio_mw);
-  h.F64(i.power.peripherals_display_off_mw);
-  h.F64(i.power.peripherals_bus_mw_per_mhz);
-  h.I32(i.initial_step);
-  h.Time(i.clock_switch_stall);
-  h.I32(static_cast<std::int32_t>(i.initial_voltage));
-  h.I32(i.battery.has_value() ? 1 : 0);
+  w->F64(i.power.core_dynamic_mw_per_v2mhz);
+  w->F64(i.power.core_static_busy_mw);
+  w->F64(i.power.nap_mw_per_v2mhz);
+  w->F64(i.power.stall_mw);
+  w->F64(i.power.peripherals_mw);
+  w->F64(i.power.audio_mw);
+  w->F64(i.power.peripherals_display_off_mw);
+  w->F64(i.power.peripherals_bus_mw_per_mhz);
+  PutI32(w, i.initial_step);
+  w->Time(i.clock_switch_stall);
+  PutI32(w, static_cast<std::int32_t>(i.initial_voltage));
+  PutI32(w, i.battery.has_value() ? 1 : 0);
   if (i.battery.has_value()) {
-    h.F64(i.battery->peukert_capacity);
-    h.F64(i.battery->peukert_exponent);
-    h.F64(i.battery->reference_current_a);
-    h.F64(i.battery->supply_volts);
-    h.F64(i.battery->recoverable_fraction);
-    h.F64(i.battery->recovery_per_hour);
+    w->F64(i.battery->peukert_capacity);
+    w->F64(i.battery->peukert_exponent);
+    w->F64(i.battery->reference_current_a);
+    w->F64(i.battery->supply_volts);
+    w->F64(i.battery->recoverable_fraction);
+    w->F64(i.battery->recovery_per_hour);
   }
 
   const KernelConfig& k = c.kernel;
-  h.Time(k.quantum);
-  h.Time(k.tick_overhead);
-  h.Time(k.yield_cost);
-  h.U64(k.sched_log_capacity);
-  h.U64(k.rng_seed);
+  w->Time(k.quantum);
+  w->Time(k.tick_overhead);
+  w->Time(k.yield_cost);
+  w->U64(k.sched_log_capacity);
+  w->U64(k.rng_seed);
 
   const DaqConfig& d = c.daq;
-  h.F64(d.sample_hz);
-  h.F64(d.shunt_ohms);
-  h.F64(d.supply_volts);
-  h.F64(d.shunt_range_volts);
-  h.F64(d.supply_range_volts);
-  h.I32(d.adc_bits);
-  h.F64(d.noise_lsb);
-  h.U64(d.seed);
+  w->F64(d.sample_hz);
+  w->F64(d.shunt_ohms);
+  w->F64(d.supply_volts);
+  w->F64(d.shunt_range_volts);
+  w->F64(d.supply_range_volts);
+  PutI32(w, d.adc_bits);
+  w->F64(d.noise_lsb);
+  w->U64(d.seed);
+}
 
-  return h.hash();
+std::uint64_t ConfigFingerprint(const ExperimentConfig& config) {
+  SnapshotWriter w;
+  EncodeConfig(config, &w);
+  return Fnv1a64(w.bytes());
+}
+
+std::uint64_t GridFingerprint(std::span<const std::uint64_t> config_fingerprints) {
+  // A span is its u64 count then its elements: the grid size, then each
+  // fingerprint in order.
+  SnapshotWriter w;
+  w.Span(config_fingerprints.data(), config_fingerprints.size());
+  return Fnv1a64(w.bytes());
 }
 
 std::uint64_t GridFingerprint(const std::vector<ExperimentConfig>& configs) {
-  Fnv1a h;
-  h.U64(configs.size());
+  std::vector<std::uint64_t> fingerprints;
+  fingerprints.reserve(configs.size());
   for (const ExperimentConfig& c : configs) {
-    h.U64(ConfigFingerprint(c));
+    fingerprints.push_back(ConfigFingerprint(c));
   }
-  return h.hash();
+  return GridFingerprint(fingerprints);
 }
 
 // --- Result serialization ---------------------------------------------------
 
 namespace {
 
-void SerializeHistogram(const LogHistogram& hist, ByteWriter* out) {
+void SerializeHistogram(const LogHistogram& hist, SnapshotWriter* out) {
   out->U64(hist.count());
   out->F64(hist.sum());
   out->F64(hist.min());
@@ -261,7 +203,7 @@ void SerializeHistogram(const LogHistogram& hist, ByteWriter* out) {
   }
 }
 
-bool DeserializeHistogram(ByteReader* in, LogHistogram* hist) {
+bool DeserializeHistogram(SnapshotReader* in, LogHistogram* hist) {
   const std::uint64_t count = in->U64();
   const double sum = in->F64();
   const double min = in->F64();
@@ -280,7 +222,7 @@ bool DeserializeHistogram(ByteReader* in, LogHistogram* hist) {
   return in->ok();
 }
 
-void SerializeMetrics(const MetricsRegistry& m, ByteWriter* out) {
+void SerializeMetrics(const MetricsRegistry& m, SnapshotWriter* out) {
   out->U32(static_cast<std::uint32_t>(m.counters().size()));
   for (const auto& [name, counter] : m.counters()) {
     out->Str(name);
@@ -299,7 +241,7 @@ void SerializeMetrics(const MetricsRegistry& m, ByteWriter* out) {
   }
 }
 
-bool DeserializeMetrics(ByteReader* in, MetricsRegistry* m) {
+bool DeserializeMetrics(SnapshotReader* in, MetricsRegistry* m) {
   const std::uint32_t counters = in->U32();
   for (std::uint32_t i = 0; i < counters && in->ok(); ++i) {
     const std::string name = in->Str();
@@ -322,7 +264,7 @@ bool DeserializeMetrics(ByteReader* in, MetricsRegistry* m) {
   return in->ok();
 }
 
-void SerializeSink(const TraceSink& sink, ByteWriter* out) {
+void SerializeSink(const TraceSink& sink, SnapshotWriter* out) {
   const std::vector<std::string> names = sink.Names();
   out->U32(static_cast<std::uint32_t>(names.size()));
   for (const std::string& name : names) {
@@ -338,7 +280,7 @@ void SerializeSink(const TraceSink& sink, ByteWriter* out) {
   }
 }
 
-bool DeserializeSink(ByteReader* in, TraceSink* sink) {
+bool DeserializeSink(SnapshotReader* in, TraceSink* sink) {
   const std::uint32_t names = in->U32();
   for (std::uint32_t i = 0; i < names && in->ok(); ++i) {
     const std::string name = in->Str();
@@ -360,7 +302,7 @@ bool DeserializeSink(ByteReader* in, TraceSink* sink) {
 
 }  // namespace
 
-void SerializeResult(const ExperimentResult& r, ByteWriter* out) {
+void SerializeResult(const ExperimentResult& r, SnapshotWriter* out) {
   out->Str(r.app);
   out->Str(r.governor);
   out->Time(r.duration);
@@ -419,7 +361,7 @@ void SerializeResult(const ExperimentResult& r, ByteWriter* out) {
   }
 }
 
-bool DeserializeResult(ByteReader* in, ExperimentResult* r) {
+bool DeserializeResult(SnapshotReader* in, ExperimentResult* r) {
   r->app = in->Str();
   r->governor = in->Str();
   r->duration = in->Time();
@@ -490,31 +432,27 @@ bool DeserializeResult(ByteReader* in, ExperimentResult* r) {
 
 namespace {
 
-std::string EncodeHeader(const JournalHeader& h) {
-  ByteWriter w;
-  w.U8(kHeaderFrame);
-  w.U32(h.version);
-  w.U64(h.grid_fingerprint);
-  w.U32(h.jobs);
-  w.Str(h.label);
-  return w.Take();
+void EncodeHeader(const JournalHeader& h, SnapshotWriter* w) {
+  w->U8(kHeaderFrame);
+  w->U32(h.version);
+  w->U64(h.grid_fingerprint);
+  w->U32(h.jobs);
+  w->Str(h.label);
 }
 
-std::string EncodeRecord(const JournalRecord& r) {
-  ByteWriter w;
-  w.U8(kRecordFrame);
-  w.U32(r.slot);
-  w.U64(r.config_fingerprint);
-  w.U8(r.ok ? 1 : 0);
-  w.U8(r.quarantined ? 1 : 0);
-  w.U32(r.attempts);
-  w.Str(r.error);
+void EncodeRecord(const JournalRecord& r, SnapshotWriter* w) {
+  w->U8(kRecordFrame);
+  w->U32(r.slot);
+  w->U64(r.config_fingerprint);
+  w->Bool(r.ok);
+  w->Bool(r.quarantined);
+  w->U32(r.attempts);
+  w->Str(r.error);
   if (r.ok) {
-    ByteWriter payload;
-    SerializeResult(r.result, &payload);
-    w.Str(payload.Take());
+    SnapshotWriter result;
+    SerializeResult(r.result, &result);
+    w->Str(result.bytes());
   }
-  return w.Take();
 }
 
 }  // namespace
@@ -547,27 +485,26 @@ JournalReadResult ReadJournal(const std::string& path) {
   std::size_t frame_index = 0;
   while (pos < data.size()) {
     // Frame prologue: magic, length, crc.
-    if (data.size() - pos < 12) {
+    const std::string_view rest = std::string_view(data).substr(pos);
+    SnapshotReader prologue(rest);
+    const std::uint32_t magic = prologue.U32();
+    const std::uint32_t len = prologue.U32();
+    const std::uint32_t crc = prologue.U32();
+    if (!prologue.ok()) {
       out.truncated = true;
       break;
     }
-    std::uint32_t magic = 0;
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&magic, data.data() + pos, 4);
-    std::memcpy(&len, data.data() + pos + 4, 4);
-    std::memcpy(&crc, data.data() + pos + 8, 4);
     if (magic != kJournalMagic || len == 0 || len > kMaxPayload) {
       out.truncated = true;
       out.violations.push_back("frame " + std::to_string(frame_index) +
                                ": bad magic or length; dropping tail");
       break;
     }
-    if (data.size() - pos - 12 < len) {
+    if (rest.size() - kPrologueBytes < len) {
       out.truncated = true;  // torn append: the frame never finished
       break;
     }
-    const std::string payload(data, pos + 12, len);
+    const std::string_view payload = rest.substr(kPrologueBytes, len);
     if (Crc32(payload) != crc) {
       out.truncated = true;
       out.violations.push_back("frame " + std::to_string(frame_index) +
@@ -575,7 +512,7 @@ JournalReadResult ReadJournal(const std::string& path) {
       break;
     }
 
-    ByteReader reader(payload);
+    SnapshotReader reader(payload);
     const std::uint8_t type = reader.U8();
     if (type == kHeaderFrame) {
       JournalSegment segment;
@@ -608,14 +545,14 @@ JournalReadResult ReadJournal(const std::string& path) {
         JournalRecord record;
         record.slot = reader.U32();
         record.config_fingerprint = reader.U64();
-        record.ok = reader.U8() != 0;
-        record.quarantined = reader.U8() != 0;
+        record.ok = reader.Bool();
+        record.quarantined = reader.Bool();
         record.attempts = reader.U32();
         record.error = reader.Str();
         bool valid = reader.ok();
         if (valid && record.ok) {
           const std::string result_bytes = reader.Str();
-          ByteReader result_reader(result_bytes);
+          SnapshotReader result_reader(result_bytes);
           valid = reader.ok() && DeserializeResult(&result_reader, &record.result);
         }
         if (!valid) {
@@ -644,7 +581,7 @@ JournalReadResult ReadJournal(const std::string& path) {
                                ": unknown frame type " + std::to_string(type) + "; ignored");
     }
 
-    pos += 12 + len;
+    pos += kPrologueBytes + len;
     out.valid_bytes = pos;
     out.readable = true;
     ++frame_index;
@@ -690,17 +627,16 @@ JournalWriter::~JournalWriter() {
   }
 }
 
-bool JournalWriter::AppendFrame(const std::string& payload, std::string* error) {
-  ByteWriter frame;
-  frame.U32(kJournalMagic);
-  frame.U32(static_cast<std::uint32_t>(payload.size()));
-  frame.U32(Crc32(payload));
-  const std::string head = frame.Take();
+bool JournalWriter::AppendFrame(std::string_view payload, std::string* error) {
+  SnapshotWriter head;
+  head.U32(kJournalMagic);
+  head.U32(static_cast<std::uint32_t>(payload.size()));
+  head.U32(Crc32(payload));
 
-  for (const std::string* part : {&head, &payload}) {
+  for (const std::string_view part : {head.bytes(), payload}) {
     std::size_t written = 0;
-    while (written < part->size()) {
-      const ssize_t n = ::write(fd_, part->data() + written, part->size() - written);
+    while (written < part.size()) {
+      const ssize_t n = ::write(fd_, part.data() + written, part.size() - written);
       if (n < 0) {
         if (errno == EINTR) {
           continue;
@@ -719,11 +655,15 @@ bool JournalWriter::AppendFrame(const std::string& payload, std::string* error) 
 }
 
 bool JournalWriter::AppendHeader(const JournalHeader& header, std::string* error) {
-  return AppendFrame(EncodeHeader(header), error);
+  SnapshotWriter payload;
+  EncodeHeader(header, &payload);
+  return AppendFrame(payload.bytes(), error);
 }
 
 bool JournalWriter::AppendRecord(const JournalRecord& record, std::string* error) {
-  return AppendFrame(EncodeRecord(record), error);
+  SnapshotWriter payload;
+  EncodeRecord(record, &payload);
+  return AppendFrame(payload.bytes(), error);
 }
 
 }  // namespace dcs

@@ -23,9 +23,11 @@
 //                  (ok / error / quarantined) and, for successes, the full
 //                  serialized ExperimentResult.
 //
-// Fingerprints are FNV-1a 64 over a canonical serialization of the
-// ExperimentConfig, so a journal written for a different grid (or an edited
-// config) never silently replays into the wrong campaign.
+// Frames, headers and serialized results are written with the snapshot
+// codec (src/sim/snapshot.h), the one binary encoding in src/.  A config's
+// fingerprint is Fnv1a64 over its canonical encoding (EncodeConfig), so a
+// journal written for a different grid (or an edited config) never silently
+// replays into the wrong campaign.
 //
 // Reading follows the InvariantChecker's record-don't-throw idiom
 // (src/fault/invariants.h): structural problems — record before any header,
@@ -41,73 +43,38 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/exp/experiment.h"
+#include "src/sim/snapshot.h"
 
 namespace dcs {
 
-// --- Byte-stream primitives -------------------------------------------------
-
-class ByteWriter {
- public:
-  void U8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(std::uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(std::uint64_t v) { Raw(&v, sizeof(v)); }
-  void I64(std::int64_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
-  void Time(SimTime t) { I64(t.nanos()); }
-  void Str(const std::string& s) {
-    U32(static_cast<std::uint32_t>(s.size()));
-    out_.append(s);
-  }
-
-  const std::string& bytes() const { return out_; }
-  std::string Take() { return std::move(out_); }
-
- private:
-  void Raw(const void* p, std::size_t n) {
-    out_.append(static_cast<const char*>(p), n);
-  }
-  std::string out_;
-};
-
-// Reader over a byte string.  Running past the end (or an oversized string
-// length) latches ok() false and returns zero values; callers check ok()
-// once at the end instead of after every field.
-class ByteReader {
- public:
-  explicit ByteReader(const std::string& data) : data_(data) {}
-
-  std::uint8_t U8();
-  std::uint32_t U32();
-  std::uint64_t U64();
-  std::int64_t I64();
-  double F64();
-  SimTime Time() { return SimTime::Nanos(I64()); }
-  std::string Str();
-
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  bool Take(void* p, std::size_t n);
-
-  const std::string& data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
+// The journal's codec is the snapshot codec; these names remain for callers
+// that spell it this way.
+using ByteWriter = SnapshotWriter;
+using ByteReader = SnapshotReader;
 
 // --- Config fingerprints ----------------------------------------------------
 
-// FNV-1a 64 over a canonical serialization of every simulation-relevant
-// config field (not the cancel token or capture flag — those change how a
-// job is run, not what it computes).
+// Canonical encoding of every simulation-relevant config field — not the
+// cancel token, arena or capture flag, which change how a job is run, not
+// what it computes.  Unlike SnapshotWriter::Str, strings carry a u64 length,
+// and ints, enums, bools and optional-presence flags take 4 bytes each: the
+// layout is the fingerprint's definition, fixed by the journals already on
+// disk.  A new field appended here changes every fingerprint (old journals
+// then run fresh, never misread).
+void EncodeConfig(const ExperimentConfig& config, SnapshotWriter* out);
+
+// Fnv1a64 over EncodeConfig.
 std::uint64_t ConfigFingerprint(const ExperimentConfig& config);
 
-// Fingerprint of a whole grid: order-sensitive combination of every config's
-// fingerprint plus the grid size.
+// Fingerprint of a whole grid: Fnv1a64 over the grid size and every config's
+// fingerprint, in order.
+std::uint64_t GridFingerprint(std::span<const std::uint64_t> config_fingerprints);
 std::uint64_t GridFingerprint(const std::vector<ExperimentConfig>& configs);
 
 // --- Result serialization ---------------------------------------------------
@@ -118,11 +85,11 @@ std::uint64_t GridFingerprint(const std::vector<ExperimentConfig>& configs);
 // the raw ObsCapture (power tape + scheduler log), which is orders of
 // magnitude larger than everything else; campaigns therefore don't journal
 // runs that request capture_obs.
-void SerializeResult(const ExperimentResult& result, ByteWriter* out);
+void SerializeResult(const ExperimentResult& result, SnapshotWriter* out);
 
 // Inverse of SerializeResult.  Returns false (result unspecified) on a
 // malformed payload.
-bool DeserializeResult(ByteReader* in, ExperimentResult* result);
+bool DeserializeResult(SnapshotReader* in, ExperimentResult* result);
 
 // --- Journal frames ---------------------------------------------------------
 
@@ -202,7 +169,7 @@ class JournalWriter {
 
  private:
   explicit JournalWriter(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
-  bool AppendFrame(const std::string& payload, std::string* error);
+  bool AppendFrame(std::string_view payload, std::string* error);
 
   int fd_ = -1;
   std::string path_;

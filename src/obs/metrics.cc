@@ -56,26 +56,24 @@ namespace {
 
 constexpr std::uint32_t kMetricsTag = 0x4D455452u;  // "METR"
 
-std::uint64_t NameHash(const std::string& name) { return SnapshotNameHash(name); }
-
 }  // namespace
 
 void MetricsRegistry::SaveState(SnapshotWriter* w) const {
   w->Tag(kMetricsTag);
   w->U64(counters_.size());
   for (const auto& [name, counter] : counters_) {
-    w->U64(NameHash(name));
+    w->U64(Fnv1a64(name));
     w->U64(counter.value());
   }
   w->U64(gauges_.size());
   for (const auto& [name, gauge] : gauges_) {
-    w->U64(NameHash(name));
+    w->U64(Fnv1a64(name));
     w->F64(gauge.sum());
     w->U64(gauge.samples());
   }
   w->U64(histograms_.size());
   for (const auto& [name, histogram] : histograms_) {
-    w->U64(NameHash(name));
+    w->U64(Fnv1a64(name));
     w->Bytes(histogram.buckets().data(), sizeof(std::uint64_t) * LogHistogram::kBuckets);
     w->U64(histogram.count());
     w->F64(histogram.sum());
@@ -92,7 +90,7 @@ void MetricsRegistry::LoadState(SnapshotReader* r) {
   }
   for (auto& [name, counter] : counters_) {
     if (!aligned) break;
-    aligned = r->U64() == NameHash(name);
+    aligned = r->U64() == Fnv1a64(name);
     counter.Restore(r->U64());
   }
   if (aligned && r->U64() != gauges_.size()) {
@@ -100,7 +98,7 @@ void MetricsRegistry::LoadState(SnapshotReader* r) {
   }
   for (auto& [name, gauge] : gauges_) {
     if (!aligned) break;
-    aligned = r->U64() == NameHash(name);
+    aligned = r->U64() == Fnv1a64(name);
     const double sum = r->F64();
     gauge.Restore(sum, r->U64());
   }
@@ -110,7 +108,7 @@ void MetricsRegistry::LoadState(SnapshotReader* r) {
   std::array<std::uint64_t, LogHistogram::kBuckets> buckets;
   for (auto& [name, histogram] : histograms_) {
     if (!aligned) break;
-    aligned = r->U64() == NameHash(name);
+    aligned = r->U64() == Fnv1a64(name);
     r->Bytes(buckets.data(), sizeof(std::uint64_t) * LogHistogram::kBuckets);
     const std::uint64_t count = r->U64();
     const double sum = r->F64();

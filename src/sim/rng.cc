@@ -3,22 +3,12 @@
 #include <cmath>
 
 namespace dcs {
-namespace {
-
-std::uint64_t SplitMix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 Rng::Rng(std::uint64_t seed) {
-  std::uint64_t x = seed;
+  // The state words are splitmix64's first four outputs from `seed`.
   for (auto& word : s_) {
-    word = SplitMix64(x);
+    word = SplitMix64(seed);
+    seed += kSplitMix64Gamma;
   }
 }
 

@@ -17,6 +17,18 @@
 
 namespace dcs {
 
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+
+// splitmix64's output for generator state `x`: one gamma step, then the
+// finalizer.  Seeds Rng's state words, and derives the fleet's cell, jitter
+// and identity seeds (src/exp/fleet.cc) — fixed forever for determinism.
+inline std::uint64_t SplitMix64(std::uint64_t x) {
+  x += kSplitMix64Gamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 // xoshiro256++ 1.0 generator seeded via splitmix64.  Not cryptographic; it is
 // a small, fast generator with good statistical quality for simulation.
 class Rng {

@@ -1,4 +1,6 @@
-// Flat-buffer device-state snapshots for fleet-scale forking.
+// Flat-buffer byte codec: device-state snapshots for fleet-scale forking,
+// and the one binary encoding in src/ (the campaign journal's frames and
+// serialized results, src/exp/journal.h, are written with it too).
 //
 // A fleet worker simulates one warmup prefix per cell (governor × app ×
 // config variant) and then runs thousands of devices that share it.  Instead
@@ -27,8 +29,11 @@
 //
 // Buffers are reusable: Clear() keeps capacity, so a warmed worker saves and
 // loads device images with zero heap allocations (enforced by the hotpath
-// alloc-count suite).  Images are process-local artifacts, serialized in
-// native byte order like the campaign journal.
+// alloc-count suite).  Every value is written in native byte order with no
+// padding or implicit framing: the bytes are exactly the calls made, which
+// is what lets journals, result digests and config fingerprints (FNV-1a 64
+// below, over bytes written here) stay stable.  Images and journals are
+// artifacts for the machine that wrote them, not an interchange format.
 
 #ifndef SRC_SIM_SNAPSHOT_H_
 #define SRC_SIM_SNAPSHOT_H_
@@ -36,6 +41,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -43,12 +49,14 @@
 
 namespace dcs {
 
-// FNV-1a 64 of a name, used by positional map restores (metrics registry,
-// trace sink) to verify save and load walk the same key sequence without
-// serializing — or allocating — the strings themselves.
-inline std::uint64_t SnapshotNameHash(const std::string& name) {
+// FNV-1a 64, the one FNV-1a in src/: config and grid fingerprints
+// (src/exp/journal.h) and the name checks of positional map restores
+// (metrics registry, trace sink), which verify that save and load walk the
+// same key sequence without serializing — or allocating — the strings
+// themselves.
+inline std::uint64_t Fnv1a64(std::string_view bytes) {
   std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : name) {
+  for (const char c : bytes) {
     h ^= static_cast<std::uint8_t>(c);
     h *= 0x100000001B3ULL;
   }
@@ -67,6 +75,11 @@ class SnapshotWriter {
   void F64(double v) { Raw(&v, sizeof(v)); }
   void Bool(bool v) { U8(v ? 1 : 0); }
   void Time(SimTime t) { I64(t.nanos()); }
+  // u32 length + the bytes.
+  void Str(std::string_view s) {
+    U32(static_cast<std::uint32_t>(s.size()));
+    Raw(s.data(), s.size());
+  }
 
   // Bulk POD span: count + raw bytes.  This is the fast path — power-tape
   // segments, trace points and sched-log records go through here.
@@ -90,6 +103,8 @@ class SnapshotWriter {
 
   const char* data() const { return bytes_.data(); }
   std::size_t size() const { return bytes_.size(); }
+  // The image written so far; valid until the next write or Clear().
+  std::string_view bytes() const { return {bytes_.data(), bytes_.size()}; }
 
  private:
   void Raw(const void* p, std::size_t n) {
@@ -104,7 +119,12 @@ class SnapshotWriter {
 // full load instead of after every field.
 class SnapshotReader {
  public:
+  // Longest string Str() accepts, so a corrupt length never becomes a huge
+  // allocation.
+  static constexpr std::uint32_t kMaxString = 64u << 20;
+
   SnapshotReader(const char* data, std::size_t size) : data_(data), size_(size) {}
+  explicit SnapshotReader(std::string_view bytes) : SnapshotReader(bytes.data(), bytes.size()) {}
   explicit SnapshotReader(const SnapshotWriter& w) : SnapshotReader(w.data(), w.size()) {}
 
   std::uint8_t U8() {
@@ -134,6 +154,18 @@ class SnapshotReader {
   }
   bool Bool() { return U8() != 0; }
   SimTime Time() { return SimTime::Nanos(I64()); }
+  // Reads a string saved by SnapshotWriter::Str; a length past the end or
+  // over kMaxString latches ok() false.
+  std::string Str() {
+    const std::uint32_t len = U32();
+    if (!ok_ || len > kMaxString || len > size_ - pos_) {
+      ok_ = false;
+      return std::string();
+    }
+    std::string s(data_ + pos_, len);
+    pos_ += len;
+    return s;
+  }
 
   // Reads a span saved by SnapshotWriter::Span into `out` (up to `max`
   // elements).  Returns the element count, or 0 with ok() latched false when

@@ -107,7 +107,7 @@ class TraceSink {
   void SaveState(SnapshotWriter* w) const {
     w->U64(series_.size());
     for (const auto& [name, series] : series_) {
-      w->U64(SnapshotNameHash(name));
+      w->U64(Fnv1a64(name));
       series.SaveState(w);
     }
   }
@@ -117,7 +117,7 @@ class TraceSink {
       return;
     }
     for (auto& [name, series] : series_) {
-      if (r->U64() != SnapshotNameHash(name)) {
+      if (r->U64() != Fnv1a64(name)) {
         r->Fail();
         return;
       }

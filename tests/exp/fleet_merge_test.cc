@@ -188,6 +188,17 @@ TEST(FleetResumeTest, JournaledRerunReplaysEveryShardByteIdentically) {
   EXPECT_EQ(third.campaign_report().replayed, 0);
   EXPECT_TRUE(third.campaign_report().journal_mismatch);
 
+  // Nor may a fleet that differs only in its device count: its shards have
+  // the same first devices and configs, but the last one is smaller.
+  FleetSpec fewer = SmallFleet();
+  fewer.devices = 22;
+  FleetRunner fourth(fewer, options);
+  const FleetReport fewer_report = fourth.Run();
+  EXPECT_EQ(fourth.campaign_report().replayed, 0);
+  EXPECT_TRUE(fourth.campaign_report().journal_mismatch);
+  EXPECT_EQ(fewer_report.devices, 22u);
+  EXPECT_EQ(fewer_report.missing_devices, 0u);
+
   fs::remove_all(dir);
 }
 

@@ -4,10 +4,9 @@
 // by the registry from the governor's concrete type (PolicyDispatch::For),
 // replacing the per-quantum virtual call.  Devirtualisation must be purely
 // mechanical: this suite drives the entire governor slate through both
-// dispatch paths — the retained legacy vtable path
-// (ExperimentConfig::legacy_policy_dispatch) and the static thunk — and
-// asserts the runs are observably identical down to the scheduler log, with
-// and without an active fault plan.
+// dispatch paths — the legacy vtable path (tests/support/virtual_dispatch.h)
+// and the static thunk — and asserts the runs are observably identical down
+// to the scheduler log, with and without an active fault plan.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +16,7 @@
 
 #include "src/core/governor_registry.h"
 #include "src/exp/experiment.h"
+#include "tests/support/virtual_dispatch.h"
 
 namespace dcs {
 namespace {
@@ -30,8 +30,7 @@ ExperimentResult RunWithDispatch(const std::string& spec, const std::string& fau
   config.duration = SimTime::Seconds(2);
   config.capture_obs = true;
   config.faults = faults;
-  config.legacy_policy_dispatch = legacy;
-  return RunExperiment(config);
+  return legacy ? testing::RunWithVirtualDispatch(config) : RunExperiment(config);
 }
 
 void ExpectIdenticalRuns(const ExperimentResult& legacy, const ExperimentResult& fast,

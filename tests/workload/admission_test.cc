@@ -272,8 +272,8 @@ TEST(AdmissionEndToEndTest, SheddingIsByteIdenticalAcrossThreadCounts) {
   ASSERT_EQ(a.size(), b.size());
   bool any_shed = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    ByteWriter wa;
-    ByteWriter wb;
+    SnapshotWriter wa;
+    SnapshotWriter wb;
     SerializeResult(a[i], &wa);
     SerializeResult(b[i], &wb);
     EXPECT_EQ(wa.bytes(), wb.bytes()) << configs[i].governor;
