@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Compare two perf_harness runs and flag regressions.
+"""Compare perf_harness runs and flag regressions.
 
 Usage:
     scripts/bench_diff.py OLD.json NEW.json [--threshold=0.25]
+    scripts/bench_diff.py --base=B1.json [--base=B2.json ...] \
+                          --head=H1.json [--head=H2.json ...] [--threshold=0.25]
 
-Each argument is either a dcs-bench/1 run object (what `perf_harness --out`
+Each file is either a dcs-bench/1 run object (what `perf_harness --out`
 or `fleet_scale --out` writes) or the committed dcs-bench-trajectory/1 file
 (BENCH_dcs.json), in which case a specific entry can be picked with
 `FILE:LABEL`; without a label the most recent entry sharing at least one
 benchmark name with the new run is used (falling back to the last entry).
 The trajectory interleaves perf_harness and fleet_scale entries, so both
-CI invocations resolve to the right baseline automatically:
+forms resolve to the right baseline automatically:
 
     scripts/bench_diff.py BENCH_dcs.json BENCH_ci.json        # perf_harness
     scripts/bench_diff.py BENCH_dcs.json BENCH_fleet_ci.json  # fleet_scale
@@ -21,7 +23,12 @@ while
 
 compares two named entries of the history.
 
-Prints an old-vs-new table for every benchmark present in both runs and
+With --base/--head, each side is several runs, typically of the merge base
+and of the head built on the same machine and run alternately (CI's bench
+job).  A row's value on each side is then the median of its per-run
+medians, which a single slow run cannot move.
+
+Prints an old-vs-new table for every benchmark present on both sides and
 exits 1 if any "micro" benchmark regressed by more than the threshold
 (default 25%).  "e2e" wall-clock rows are advisory: printed, never gating.
 """
@@ -57,19 +64,55 @@ def load_run(spec, prefer_names=None):
     sys.exit(f"{path}: unrecognised schema {doc.get('schema')!r}")
 
 
+def median(values):
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+def combine(runs):
+    """One run object whose rows hold the median of the runs' medians."""
+    if len(runs) == 1:
+        return runs[0]
+    rows = {}
+    for run in runs:
+        for bench in run["benchmarks"]:
+            rows.setdefault(bench["name"], []).append(bench)
+    benchmarks = []
+    for name, benches in rows.items():
+        row = dict(benches[0])
+        row["median"] = median([b["median"] for b in benches])
+        benchmarks.append(row)
+    labels = ", ".join(str(run.get("label")) for run in runs)
+    return {"label": f"{len(runs)} runs: {labels}", "host": runs[0].get("host", {}),
+            "benchmarks": benchmarks}
+
+
 def main(argv):
     threshold = 0.25
-    args = []
+    args, base_specs, head_specs = [], [], []
     for arg in argv[1:]:
         if arg.startswith("--threshold="):
             threshold = float(arg.split("=", 1)[1])
+        elif arg.startswith("--base="):
+            base_specs.append(arg.split("=", 1)[1])
+        elif arg.startswith("--head="):
+            head_specs.append(arg.split("=", 1)[1])
         else:
             args.append(arg)
-    if len(args) != 2:
+    if base_specs or head_specs:
+        if args or not base_specs or not head_specs:
+            sys.exit(__doc__)
+    elif len(args) == 2:
+        base_specs, head_specs = [args[0]], [args[1]]
+    else:
         sys.exit(__doc__)
 
-    new_run = load_run(args[1])
-    old_run = load_run(args[0], prefer_names={b["name"] for b in new_run["benchmarks"]})
+    new_run = combine([load_run(spec) for spec in head_specs])
+    new_names = {b["name"] for b in new_run["benchmarks"]}
+    old_run = combine([load_run(spec, prefer_names=new_names) for spec in base_specs])
     old_by_name = {b["name"]: b for b in old_run["benchmarks"]}
 
     print(f"old: {old_run.get('label')}  ({old_run.get('host', {}).get('cpu')})")

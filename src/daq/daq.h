@@ -53,11 +53,22 @@ struct DaqConfig {
 double FastCos2Pi(double u);
 inline constexpr double kFastCos2PiMaxError = 0x1p-32;
 
+// ln(x) for normal x > 0, branch-free and built from bit operations: the
+// exponent split at sqrt(1/2), then the atanh series in s = (m-1)/(m+1).
+// It differs from glibc's std::log(x) by at most kFastLogMaxRelError,
+// relative (derivation at the definition; the property test sweeps it).
+double FastLog(double x);
+inline constexpr double kFastLogMaxRelError = 0x1p-40;
+
 class Daq {
  public:
   // `arena`, when bound, backs the internal sample buffer so steady-state
   // sampling performs no heap allocation; it must outlive the Daq.
   explicit Daq(const DaqConfig& config = {}, Arena* arena = nullptr);
+
+  // Samples per block of SampleWindow's passes.  The block's scratch lives
+  // on the stack (8 arrays of kBlock doubles).
+  static constexpr std::int64_t kBlock = 256;
 
   const DaqConfig& config() const { return config_; }
   SimTime SamplePeriod() const { return SimTime::FromSecondsF(1.0 / config_.sample_hz); }
@@ -70,19 +81,26 @@ class Daq {
   // the nearest survivor); without a bound injector the drop bookkeeping is
   // never materialised.
   //
-  // One fused loop takes each sample: timestamp, tape read, the shunt
-  // channel, the supply channel, power.  A channel draws its Box-Muller pair
-  // in the reference stream order and computes sqrt(-2 log u1) exactly as
-  // Rng::Gaussian does, but takes cos(2*pi*u2) from FastCos2Pi.  Its value x
-  // in LSBs then differs from the reference's by less than a margin fixed
-  // by the config (see the constructor), so when x lies further than that
-  // margin from every rounding boundary k +/- 1/2, and from zero, the
-  // reference rounds to the same code k with the same sign and k * lsb is
-  // its reading bit for bit.  Otherwise the channel is recomputed with glibc
-  // cos, exactly as the reference computes it: about 2 readings in 10^6 at
-  // 1 LSB of noise.  So every sample, and every golden, is the one-reading-
-  // at-a-time pipeline's bit for bit (tests/support/daq_reference.h is that
-  // pipeline; tests/hotpath/daq_soa_property_test.cc compares the two).
+  // Samples are taken in blocks of kBlock, each in three passes:
+  //  - draw: per sample, the timestamp, the tape read and the shunt volts,
+  //    then the channels' Box-Muller uniforms in the reference stream order
+  //    (shunt pair, then supply pair; none for a channel whose sigma is 0);
+  //  - kernel: per noisy channel, one branch-free loop with no libm call
+  //    computes the value x in LSBs as Rng::Gaussian noise would leave it,
+  //    but with log from FastLog and cos(2*pi*u2) from FastCos2Pi.  This x
+  //    differs from the reference's by less than a margin fixed by the
+  //    config (see the constructor), so when x lies further than that
+  //    margin from every rounding boundary k +/- 1/2, and from zero, the
+  //    reference rounds to the same code k with the same sign and k * lsb
+  //    is its reading bit for bit;
+  //  - certify: every other reading is recomputed with glibc log and cos,
+  //    exactly as the reference computes it (about 2 readings in 10^6 at
+  //    1 LSB of noise), and each sample's power is formed.
+  // So every sample, and every golden, is the one-reading-at-a-time
+  // pipeline's bit for bit (tests/support/daq_reference.h is that pipeline;
+  // tests/hotpath/daq_soa_property_test.cc compares the two).  Being free of
+  // libm calls, the kernel vectorizes; on x86-64 it is built for AVX-512,
+  // AVX2 and SSE2 and picked at load time, each computing the same bits.
   //
   // Returns a view into an internal buffer that remains valid until the
   // next SampleWindow/SamplePowerWatts/MeasureEnergyJoules call.
@@ -99,8 +117,9 @@ class Daq {
   // Samples lost to injected drops so far.
   std::uint64_t dropped_samples() const { return dropped_samples_; }
 
-  // Channel readings so far that FastCos2Pi could not settle and that were
-  // recomputed with glibc cos.  A diagnostic: not part of the snapshot.
+  // Channel readings so far that the kernel could not settle and that were
+  // recomputed with glibc log and cos.  A diagnostic: not part of the
+  // snapshot.
   std::uint64_t recomputed_readings() const { return recomputed_readings_; }
 
   // Rectangle-rule energy: sum(p_i * 0.0002 s), exactly as in section 4.1.
@@ -131,9 +150,11 @@ class Daq {
     double hi;
   };
 
-  // The channel's reading of `volts`: plus noise from the next two draws
-  // (none when sigma is 0), clamped and quantised.
-  double Read(double volts, const Channel& channel);
+  // The kernel and certify passes for one channel over a block: out[i] is
+  // the channel's ADC code for volts[i], with noise from (u1[i], u2[i])
+  // unless its sigma is 0, clamped and quantised.
+  void ReadChannel(const Channel& channel, const double* volts, const double* u1,
+                   const double* u2, std::size_t n, double* out);
 
   // Drop overlay.  The injector's drop stream is isolated from the DAQ
   // noise stream, so deciding drops after the sampling loop (instead of
@@ -150,7 +171,7 @@ class Daq {
   double shunt_lsb_;
   double supply_lsb_;
   // Readings whose value lies within this many LSBs of a rounding boundary
-  // or of zero are recomputed with glibc cos.
+  // or of zero are recomputed with glibc log and cos.
   double code_margin_;
   FaultInjector* faults_ = nullptr;
   std::uint64_t dropped_samples_ = 0;

@@ -1,22 +1,26 @@
-// Fused-vs-reference differential property suite for the DAQ.
+// Block-kernel-vs-reference differential property suite for the DAQ.
 //
-// Daq::SampleWindow runs one fused loop per sample and takes its noise's
-// cos(2*pi*u) from FastCos2Pi, recomputing a reading with glibc cos only
+// Daq::SampleWindow samples in blocks: a serial draw pass, a branch-free
+// kernel that takes its noise's log and cos(2*pi*u) from FastLog and
+// FastCos2Pi, and a certify pass that recomputes a reading with glibc only
 // when its ADC code is in doubt.  Its contract is *bitwise* equality with
 // the one-reading-at-a-time reference pipeline (tests/support/
 // daq_reference.h).  This suite hammers that contract across randomized
 // power tapes, every noise/rate/resolution combination the experiments use,
-// window edge cases (signed-zero codes among them), fault-injected sample
-// drops and readings forced onto the exact path; and it sweeps FastCos2Pi
-// against glibc.
+// window edge cases (block edges and signed-zero codes among them),
+// fault-injected sample drops and readings forced onto the exact path; it
+// sweeps FastLog and FastCos2Pi against glibc; and it bounds, and pins,
+// how many readings leave the kernel.
 
 #include "src/daq/daq.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/fault/fault_injector.h"
@@ -24,6 +28,7 @@
 #include "src/hw/power_tape.h"
 #include "src/sim/arena.h"
 #include "src/sim/rng.h"
+#include "src/sim/snapshot.h"
 #include "src/sim/time.h"
 #include "tests/support/daq_reference.h"
 
@@ -51,19 +56,41 @@ void ExpectBitwiseEqual(const DaqConfig& config, const PowerTape& tape, SimTime 
                         SimTime end, const std::string& label,
                         std::uint64_t* recomputed = nullptr) {
   ReferenceDaq reference(config);
-  Daq fused(config);
+  Daq daq(config);
   const std::span<const double> a = reference.SampleWindow(tape, begin, end);
-  const std::span<const double> b = fused.SampleWindow(tape, begin, end);
+  const std::span<const double> b = daq.SampleWindow(tape, begin, end);
   if (recomputed != nullptr) {
-    *recomputed = fused.recomputed_readings();
+    *recomputed = daq.recomputed_readings();
   }
 
   ASSERT_EQ(a.size(), b.size()) << label;
   if (!a.empty()) {
     // memcmp, not ==: the contract is bit-for-bit, not merely value-equal.
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
-        << label << ": fused pipeline diverged from the reference";
+        << label << ": Daq diverged from the reference";
   }
+}
+
+// Samples a window with a fresh Daq and checks that it holds `samples`
+// samples and that the noise stream advanced by exactly
+// `draws_per_sample` draws per sample: the Daq's snapshot must equal that
+// of a generator at the same seed after as many draws.
+void ExpectDraws(const DaqConfig& config, const PowerTape& tape, SimTime begin, SimTime end,
+                 std::int64_t samples, std::uint64_t draws_per_sample,
+                 const std::string& label) {
+  Daq daq(config);
+  ASSERT_EQ(daq.SampleWindow(tape, begin, end).size(), static_cast<std::size_t>(samples))
+      << label;
+  Rng expected(config.seed);
+  for (std::uint64_t i = 0; i < draws_per_sample * static_cast<std::uint64_t>(samples); ++i) {
+    expected.Next();
+  }
+  SnapshotWriter want;
+  expected.SaveState(&want);
+  want.U64(0);  // dropped samples
+  SnapshotWriter got;
+  daq.SaveState(&got);
+  EXPECT_EQ(got.bytes(), want.bytes()) << label << ": noise stream out of step";
 }
 
 TEST(DaqSoaPropertyTest, BatchedMatchesScalarAcrossConfigGrid) {
@@ -119,15 +146,10 @@ TEST(DaqSoaPropertyTest, WindowEdgeCases) {
   ExpectBitwiseEqual(config, zero_watts, SimTime::Zero(), SimTime::Seconds(1), "zero watts");
   // Window extending far past the last segment.
   ExpectBitwiseEqual(config, tape, SimTime::Millis(10), SimTime::Seconds(2), "post-tape");
-  // Exactly one sample; 2048 samples; 2049 samples.
+  // Exactly one sample.
   const double period_us = 200.0;  // 5 kHz
   ExpectBitwiseEqual(config, tape, SimTime::Millis(1),
                      SimTime::Millis(1) + SimTime::FromMicrosF(period_us * 1.5), "1 sample");
-  ExpectBitwiseEqual(config, tape, SimTime::Millis(1),
-                     SimTime::Millis(1) + SimTime::FromMicrosF(period_us * 2048), "1 batch");
-  ExpectBitwiseEqual(config, tape, SimTime::Millis(1),
-                     SimTime::Millis(1) + SimTime::FromMicrosF(period_us * 2049.5),
-                     "batch + 1");
   // Zero-noise and zero-range (sigma==0 on one channel only) variants.
   DaqConfig no_shunt_noise;
   no_shunt_noise.shunt_range_volts = 0.0;
@@ -137,6 +159,68 @@ TEST(DaqSoaPropertyTest, WindowEdgeCases) {
   no_supply_noise.supply_range_volts = 0.0;
   ExpectBitwiseEqual(no_supply_noise, tape, SimTime::Millis(1), SimTime::Millis(200),
                      "supply sigma 0");
+  // Windows around the edges of SampleWindow's blocks: one sample short of
+  // a block, one block, one sample over, and several blocks plus a partial
+  // one.  Each also runs with sigma 0 on either channel, which halves the
+  // draws per sample.  A zero-range channel reads NaN, so there the noise
+  // stream's position after the window is checked as well.
+  struct Variant {
+    const char* name;
+    DaqConfig config;
+    std::uint64_t draws_per_sample;
+  };
+  const Variant variants[] = {{"both noisy", config, 4},
+                              {"shunt sigma 0", no_shunt_noise, 2},
+                              {"supply sigma 0", no_supply_noise, 2}};
+  for (const std::int64_t samples :
+       {Daq::kBlock - 1, Daq::kBlock, Daq::kBlock + 1, 3 * Daq::kBlock + 7}) {
+    const SimTime begin = SimTime::Millis(1);
+    const SimTime end = begin + SimTime::FromMicrosF(period_us * (samples + 0.5));
+    for (const Variant& variant : variants) {
+      const std::string label = std::to_string(samples) + " samples, " + variant.name;
+      ExpectBitwiseEqual(variant.config, tape, begin, end, label);
+      ExpectDraws(variant.config, tape, begin, end, samples, variant.draws_per_sample, label);
+    }
+  }
+}
+
+// Sample drops whose runs span block edges: the drop overlay and its
+// interpolation see the whole window, not one block.
+TEST(DaqSoaPropertyTest, FaultDropsAcrossBlockEdgesMatchTheReference) {
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(FaultPlan::Parse("daq-drop=0.7", &plan, &error)) << error;
+  const std::int64_t samples = 3 * Daq::kBlock + 7;
+  const SimTime begin = SimTime::Millis(1);
+  const SimTime end = begin + SimTime::FromMicrosF(200.0 * (samples + 0.5));
+
+  // The drop decisions, read from a third injector at the same seed: some
+  // run of dropped samples must cross a block edge.
+  FaultInjector probe(plan, /*seed=*/11);
+  std::vector<bool> drops;
+  for (std::int64_t i = 0; i < samples; ++i) {
+    drops.push_back(probe.DropSample());
+  }
+  int spanning_edges = 0;
+  for (std::int64_t edge = Daq::kBlock; edge < samples; edge += Daq::kBlock) {
+    spanning_edges += drops[edge - 1] && drops[edge] ? 1 : 0;
+  }
+  ASSERT_GT(spanning_edges, 0) << "no dropped run crosses a block edge";
+
+  const PowerTape tape = RandomTape(23, 300);
+  DaqConfig config;
+  ReferenceDaq reference(config);
+  Daq daq(config);
+  FaultInjector reference_faults(plan, /*seed=*/11);
+  FaultInjector daq_faults(plan, /*seed=*/11);
+  reference.BindFaults(&reference_faults);
+  daq.BindFaults(&daq_faults);
+  const std::span<const double> a = reference.SampleWindow(tape, begin, end);
+  const std::span<const double> b = daq.SampleWindow(tape, begin, end);
+  ASSERT_EQ(a.size(), static_cast<std::size_t>(samples));
+  ASSERT_EQ(b.size(), static_cast<std::size_t>(samples));
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+  EXPECT_EQ(reference.dropped_samples(), daq.dropped_samples());
 }
 
 TEST(DaqSoaPropertyTest, BatchedMatchesScalarUnderFaultDrops) {
@@ -148,25 +232,25 @@ TEST(DaqSoaPropertyTest, BatchedMatchesScalarUnderFaultDrops) {
     const PowerTape tape = RandomTape(21, 300);
     DaqConfig config;
     ReferenceDaq reference(config);
-    Daq fused(config);
+    Daq daq(config);
 
     // Each pipeline gets its own injector at the same seed: the drop stream
     // is isolated per fault class, so both see identical drop decisions.
     FaultInjector reference_faults(plan, /*seed=*/11);
-    FaultInjector fused_faults(plan, /*seed=*/11);
+    FaultInjector daq_faults(plan, /*seed=*/11);
     reference.BindFaults(&reference_faults);
-    fused.BindFaults(&fused_faults);
+    daq.BindFaults(&daq_faults);
 
     const std::span<const double> a =
         reference.SampleWindow(tape, SimTime::Millis(1), SimTime::Millis(500));
     const std::span<const double> b =
-        fused.SampleWindow(tape, SimTime::Millis(1), SimTime::Millis(500));
+        daq.SampleWindow(tape, SimTime::Millis(1), SimTime::Millis(500));
     ASSERT_EQ(a.size(), b.size()) << spec;
     ASSERT_FALSE(a.empty()) << spec;
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0) << spec;
-    EXPECT_EQ(reference.dropped_samples(), fused.dropped_samples()) << spec;
+    EXPECT_EQ(reference.dropped_samples(), daq.dropped_samples()) << spec;
     if (std::string(spec) == "daq-drop=0.5") {
-      EXPECT_GT(fused.dropped_samples(), 0u) << "drop plan never triggered";
+      EXPECT_GT(daq.dropped_samples(), 0u) << "drop plan never triggered";
     }
   }
 }
@@ -261,6 +345,78 @@ TEST(DaqSoaPropertyTest, FastCos2PiIsFarInsideItsAllowance) {
     check(rng.NextDouble());
   }
   EXPECT_LE(max_error, kFastCos2PiMaxError / 100) << "worst at u = " << worst_u;
+}
+
+// FastLog against glibc's log at 1e-300 (the smallest u1 Box-Muller takes),
+// 2^-53 (the smallest nonzero Rng::NextDouble), just under 1, one ulp
+// either side of sqrt(1/2) (where the exponent split turns), every power of
+// two from 2^-1 to 2^-996 and one ulp either side, and 10^7 uniform draws:
+// the largest relative error must sit 100 times under the allowance the
+// DAQ's certificate assumes.
+TEST(DaqSoaPropertyTest, FastLogIsFarInsideItsAllowance) {
+  double max_error = 0.0;
+  double worst_x = 0.0;
+  const auto check = [&](double x) {
+    const double exact = std::log(x);
+    const double error = std::fabs(FastLog(x) - exact) / std::fabs(exact);
+    if (!(error <= max_error)) {
+      max_error = error;
+      worst_x = x;
+    }
+  };
+  check(1e-300);
+  check(0x1p-53);
+  check(std::nextafter(1.0, 0.0));
+  const double sqrt_half = std::sqrt(0.5);
+  check(sqrt_half);
+  check(std::nextafter(sqrt_half, 0.0));
+  check(std::nextafter(sqrt_half, 1.0));
+  for (int k = 1; k <= 996; ++k) {
+    const double p = std::ldexp(1.0, -k);
+    check(p);
+    check(std::nextafter(p, 0.0));
+    check(std::nextafter(p, 1.0));
+  }
+  Rng rng(0x106);
+  for (int i = 0; i < 10'000'000; ++i) {
+    check(std::max(rng.NextDouble(), 1e-300));
+  }
+  EXPECT_LE(max_error, kFastLogMaxRelError / 100) << "worst at x = " << worst_x;
+}
+
+// The fast path itself.  A margin grown too wide, or a kernel that drifted
+// from the reference, keeps every sample bit-identical but sends readings
+// to glibc; these two checks notice.  At the default config about 2
+// readings in 10^6 fall in the margin's band; the bound is 10.
+TEST(DaqSoaPropertyTest, FewReadingsLeaveTheKernel) {
+  std::uint64_t readings = 0;
+  std::uint64_t recomputed = 0;
+  for (std::uint64_t trial = 0; trial < 32; ++trial) {
+    DaqConfig config;
+    config.seed = 0x5EED0000 + trial;
+    Daq daq(config);
+    const PowerTape tape = RandomTape(2000 + trial, 4000);
+    readings += 2 * daq.SampleWindow(tape, SimTime::Zero(), SimTime::Seconds(8)).size();
+    recomputed += daq.recomputed_readings();
+  }
+  ASSERT_GE(readings, 2'000'000u);
+  EXPECT_LE(recomputed * 1'000'000, 10 * readings)
+      << recomputed << " of " << readings << " readings recomputed";
+}
+
+// The exact count for one fixed seed and tape, 10^7 readings.  The
+// kernel's clones compute the same bits (no fused multiply-adds), so the
+// count is the same whichever one the host runs.
+TEST(DaqSoaPropertyTest, RecomputedCountIsPinned) {
+  const PowerTape tape = RandomTape(4242, 4000);
+  Daq daq;
+  std::uint64_t readings = 0;
+  for (int window = 0; window < 10; ++window) {
+    const SimTime begin = SimTime::Seconds(100 * window);
+    readings += 2 * daq.SampleWindow(tape, begin, begin + SimTime::Seconds(100)).size();
+  }
+  EXPECT_EQ(readings, 10'000'000u);
+  EXPECT_EQ(daq.recomputed_readings(), 14u);
 }
 
 }  // namespace
