@@ -87,7 +87,8 @@ void BM_MemoryModelWallTime(benchmark::State& state) {
   int step = 0;
   for (auto _ : state) {
     step = (step + 1) % kNumClockSteps;
-    benchmark::DoNotOptimize(MemoryModel::WallTimeForWork(1e6, step, profile));
+    benchmark::DoNotOptimize(
+        MemoryModel::WallTimeForWork(1e6, MemoryModel::EffectiveBaseHz(step, profile)));
   }
 }
 BENCHMARK(BM_MemoryModelWallTime);

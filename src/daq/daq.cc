@@ -23,7 +23,7 @@ double Clamp(double volts, double lo, double hi) {
 // The ADC code of `volts` at a step of `lsb`, clamped to [lo, hi]; the
 // reading is the code times lsb.
 double Code(double volts, double lsb, double lo, double hi) {
-  return std::round(Clamp(volts, lo, hi) / lsb);
+  return RoundHalfAway(Clamp(volts, lo, hi) / lsb);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #ifndef SRC_DAQ_DAQ_H_
 #define SRC_DAQ_DAQ_H_
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -59,6 +60,19 @@ inline constexpr double kFastCos2PiMaxError = 0x1p-32;
 // relative (derivation at the definition; the property test sweeps it).
 double FastLog(double x);
 inline constexpr double kFastLogMaxRelError = 0x1p-40;
+
+// std::round(x), halfway cases away from zero, bit for bit for every
+// double (signed zeros, infinities and NaN included) but inline: baseline
+// x86-64 has no rounding instruction, so std::round is a libm call.  Below
+// 2^52 the shift by 2^52 rounds |x| to nearest, ties to even, exactly; a tie
+// it sent down is moved up, and copysign restores the sign, -0.0 included.
+// From 2^52 up every double is an integer and passes through.
+inline double RoundHalfAway(double x) {
+  const double a = std::fabs(x);
+  double r = (a + 0x1p52) - 0x1p52;
+  r += r - a == -0.5 ? 1.0 : 0.0;
+  return std::copysign(a < 0x1p52 ? r : a, x);
+}
 
 class Daq {
  public:

@@ -40,6 +40,10 @@ double PowerTape::WattsAt(SimTime t) const {
   if (segments_.empty() || t < segments_.front().start) {
     return 0.0;
   }
+  if (t >= segments_.back().start) {
+    // The open last segment: what the battery sync asks for on every tick.
+    return segments_.back().watts;
+  }
   auto it = std::upper_bound(segments_.begin(), segments_.end(), t,
                              [](SimTime x, const Segment& s) { return x < s.start; });
   return std::prev(it)->watts;

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -96,14 +97,19 @@ class LogHistogram {
   // observations.  Coarse by design — within a factor of two.
   double ApproxQuantile(double q) const;
 
-  // Bucket index for a value; negatives and sub-1 values land in bucket 0.
+  // Bucket index for a value; negatives, sub-1 values and NaN land in
+  // bucket 0.  For v >= 1 this is frexp's exponent (v = m * 2^exp, m in
+  // [0.5, 1)), read straight from the biased exponent bits; +inf keeps
+  // frexp's glibc result, an untouched exponent of 0.
   static int BucketOf(double v) {
     if (!(v >= 1.0)) {
       return 0;
     }
-    int exp = 0;
-    std::frexp(v, &exp);  // v = m * 2^exp with m in [0.5, 1)
-    return std::min(exp, kBuckets - 1);
+    const int biased = static_cast<int>(std::bit_cast<std::uint64_t>(v) >> 52);
+    if (biased == 0x7ff) {
+      return 0;
+    }
+    return std::min(biased - 1022, kBuckets - 1);
   }
   // Exclusive upper bound of bucket i (2^i; bucket 0 is [.., 1)).
   static double BucketUpperBound(int i) { return std::ldexp(1.0, i); }

@@ -8,7 +8,8 @@ namespace dcs {
 
 void EventQueue::FlushStaging() {
   for (const HeapEntry& entry : staging_) {
-    heap_.push_back(entry);
+    // Grow by a blank entry and let SiftUp place this one.
+    heap_.emplace_back();
     SiftUp(heap_.size() - 1, entry);
   }
   staging_.clear();

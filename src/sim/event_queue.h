@@ -103,6 +103,12 @@ class EventQueue {
   // Removes everything (the queue can be reused afterwards).
   void Clear();
 
+  // Consumes one insertion sequence number without scheduling anything.
+  // Simulator::FireInline runs an event in place of a push and a pop; taking
+  // its number keeps every later event's sequence (and so every tie-break
+  // and snapshot image) the same as the queued path's.
+  void SkipSeq() { ++next_seq_; }
+
   // Entries in the ordered heap (diagnostics); equals Size() once a Pop or
   // NextTime has flushed the staging buffer.
   std::size_t heap_entries() const { return heap_.size(); }
@@ -260,7 +266,11 @@ inline EventId EventQueue::Push(SimTime at, F&& fn) {
     s.fn.Emplace(std::forward<F>(fn));
   }
   s.link = kStaged | static_cast<std::uint32_t>(staging_.size());
-  staging_.push_back(HeapEntry{at, next_seq_++, slot});
+  // Filled in place, field by field, with no temporary to copy from.
+  HeapEntry& entry = staging_.emplace_back();
+  entry.at = at;
+  entry.seq = next_seq_++;
+  entry.slot = slot;
   return (static_cast<EventId>(s.generation) << 32) | slot;
 }
 

@@ -4,15 +4,31 @@
 
 namespace dcs {
 
-EventId Simulator::At(SimTime at, EventFn fn) {
-  if (at < now_) {
-    at = now_;
-  }
-  return queue_.Push(at, std::move(fn));
-}
+// Publishes a loop's deadline to FireInline for the loop's lifetime and
+// restores the enclosing one on exit, a throwing callback included.
+class Simulator::LoopScope {
+ public:
+  LoopScope(Simulator* sim, SimTime deadline)
+      : sim_(sim), outer_(std::exchange(sim->loop_deadline_, deadline)) {}
+  LoopScope(const LoopScope&) = delete;
+  LoopScope& operator=(const LoopScope&) = delete;
+  ~LoopScope() { sim_->loop_deadline_ = outer_; }
 
-EventId Simulator::After(SimTime delay, EventFn fn) {
-  return At(now_ + delay, std::move(fn));
+ private:
+  Simulator* sim_;
+  SimTime outer_;
+};
+
+bool Simulator::FireInline(SimTime at) {
+  assert(at >= now_ && "FireInline in the past");
+  if (at > loop_deadline_ || stop_requested_ || CancelRequested() ||
+      (!queue_.Empty() && queue_.NextTime() <= at)) {
+    return false;
+  }
+  now_ = at;
+  queue_.SkipSeq();
+  ++events_executed_;
+  return true;
 }
 
 bool Simulator::Cancel(EventId id) {
@@ -39,12 +55,14 @@ void Simulator::Run() {
   // is sticky: it halts this run immediately and is consumed on exit, so the
   // next Run()/RunUntil() proceeds normally.  A cancellation token is
   // checked between events too but is never consumed.
+  const LoopScope loop(this, SimTime::Max());
   while (!stop_requested_ && !CancelRequested() && Step()) {
   }
   stop_requested_ = false;
 }
 
 void Simulator::RunUntil(SimTime deadline) {
+  const LoopScope loop(this, deadline);
   while (!stop_requested_ && !CancelRequested() && !queue_.Empty() &&
          queue_.NextTime() <= deadline) {
     Step();

@@ -8,7 +8,10 @@
 #define SRC_SIM_SIMULATOR_H_
 
 #include <atomic>
+#include <cassert>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "src/sim/event_queue.h"
 #include "src/sim/time.h"
@@ -38,12 +41,34 @@ class Simulator {
 
   // Schedules `fn` at absolute time `at`.  Scheduling in the past (at < Now())
   // fires the event at Now(); this mirrors hardware timers that raise an
-  // already-expired deadline immediately.  Any callable converts to EventFn;
+  // already-expired deadline immediately.  Any callable (or a ready-made
+  // EventFn, moved in) is forwarded to the queue and built in its slot;
   // captures up to 48 bytes are stored without allocating.
-  EventId At(SimTime at, EventFn fn);
+  template <typename F>
+  EventId At(SimTime at, F&& fn) {
+    return queue_.Push(at < now_ ? now_ : at, std::forward<F>(fn));
+  }
 
   // Schedules `fn` `delay` after Now().
-  EventId After(SimTime delay, EventFn fn);
+  template <typename F>
+  EventId After(SimTime delay, F&& fn) {
+    return At(now_ + delay, std::forward<F>(fn));
+  }
+
+  // Lets the running callback do, on the spot, the work of an event it would
+  // otherwise schedule at `at` (>= Now()).  Succeeds only when that event
+  // would be the next one the active loop runs: inside Run()/RunUntil(),
+  // with `at` within the loop's deadline, no stop or cancellation pending,
+  // and every queued event strictly later than `at` (an event queued at
+  // exactly `at` holds an earlier sequence number and would fire first).
+  // On success the clock moves to `at`, one event is counted as executed
+  // and one queue sequence number is consumed — exactly what scheduling and
+  // popping the event would have done — so event counts, EventSeq values
+  // and snapshot images match the queued path; the caller then runs the
+  // event's work itself.  Otherwise nothing changes and the caller schedules
+  // the event as usual.  Step() outside a loop never fires inline: it runs
+  // exactly one event.
+  bool FireInline(SimTime at);
 
   // Cancels a pending event.  Returns true if it was still pending.
   bool Cancel(EventId id);
@@ -103,8 +128,14 @@ class Simulator {
   }
 
  private:
+  // Deadline FireInline checks against: the innermost Run()/RunUntil()'s,
+  // or kNoLoop (earlier than any event) when no loop is active.
+  static constexpr SimTime kNoLoop = SimTime::Nanos(std::numeric_limits<std::int64_t>::min());
+  class LoopScope;
+
   EventQueue queue_;
   SimTime now_;
+  SimTime loop_deadline_ = kNoLoop;
   bool stop_requested_ = false;
   const std::atomic<bool>* cancel_ = nullptr;
   std::uint64_t events_executed_ = 0;

@@ -6,9 +6,19 @@
 
 namespace dcs {
 
-void DeadlineMonitor::Report(const std::string& stream, SimTime deadline, SimTime completed,
-                             SimTime tolerance) {
-  StreamStats& stats = streams_[stream];
+DeadlineMonitor::StreamStats& DeadlineMonitor::StreamFor(std::string_view stream) {
+  auto it = streams_.lower_bound(stream);
+  if (it == streams_.end() || it->first != stream) {
+    it = streams_.emplace_hint(it, std::string(stream), StreamStats{});
+  }
+  return it->second;
+}
+
+namespace {
+
+// One deadline event's miss/lateness/overrun bookkeeping (see header).
+void CountEvent(DeadlineMonitor::StreamStats& stats, SimTime deadline, SimTime completed,
+                SimTime tolerance) {
   ++stats.total;
   // Miss and lateness share one threshold (see header): an event inside the
   // tolerance window contributes neither.
@@ -25,22 +35,30 @@ void DeadlineMonitor::Report(const std::string& stream, SimTime deadline, SimTim
   stats.worst_overrun = std::max(stats.worst_overrun, overrun);
 }
 
-void DeadlineMonitor::ReportRequest(const std::string& stream, SimTime arrival, SimTime slo,
-                                    SimTime completed, SimTime tolerance) {
-  Report(stream, arrival + slo, completed, tolerance);
-  const SimTime latency = completed > arrival ? completed - arrival : SimTime::Zero();
-  streams_[stream].latency_us.Observe(latency.ToMicrosF());
+}  // namespace
+
+void DeadlineMonitor::Report(std::string_view stream, SimTime deadline, SimTime completed,
+                             SimTime tolerance) {
+  CountEvent(StreamFor(stream), deadline, completed, tolerance);
 }
 
-void DeadlineMonitor::ReportRejected(const std::string& stream, bool shed) {
-  StreamStats& stats = streams_[stream];
+void DeadlineMonitor::ReportRequest(std::string_view stream, SimTime arrival, SimTime slo,
+                                    SimTime completed, SimTime tolerance) {
+  StreamStats& stats = StreamFor(stream);
+  CountEvent(stats, arrival + slo, completed, tolerance);
+  const SimTime latency = completed > arrival ? completed - arrival : SimTime::Zero();
+  stats.latency_us.Observe(latency.ToMicrosF());
+}
+
+void DeadlineMonitor::ReportRejected(std::string_view stream, bool shed) {
+  StreamStats& stats = StreamFor(stream);
   ++stats.rejected;
   if (shed) {
     ++stats.shed;
   }
 }
 
-DeadlineMonitor::StreamStats DeadlineMonitor::Stats(const std::string& stream) const {
+DeadlineMonitor::StreamStats DeadlineMonitor::Stats(std::string_view stream) const {
   const auto it = streams_.find(stream);
   return it == streams_.end() ? StreamStats{} : it->second;
 }

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -71,22 +72,22 @@ class DeadlineMonitor {
   // Reports one deadline event on `stream`.  The event is a miss if
   // `completed` is later than `deadline + tolerance`, and its lateness is
   // measured from the same `deadline + tolerance` threshold.
-  void Report(const std::string& stream, SimTime deadline, SimTime completed,
+  void Report(std::string_view stream, SimTime deadline, SimTime completed,
               SimTime tolerance = SimTime::Zero());
 
   // Reports one open-loop request on `stream`: the deadline is
   // `arrival + slo`, and the request's latency (`completed - arrival`, in
   // microseconds) is recorded into the stream's latency histogram.
-  void ReportRequest(const std::string& stream, SimTime arrival, SimTime slo,
+  void ReportRequest(std::string_view stream, SimTime arrival, SimTime slo,
                      SimTime completed, SimTime tolerance = SimTime::Zero());
 
   // Reports one request the admission gate refused on `stream` (`shed` when
   // the degraded brownout mode, not the schedulability test, rejected it).
   // Rejected requests never count as deadline events or misses.
-  void ReportRejected(const std::string& stream, bool shed = false);
+  void ReportRejected(std::string_view stream, bool shed = false);
 
   // Stats for one stream (zeroes if the stream never reported).
-  StreamStats Stats(const std::string& stream) const;
+  StreamStats Stats(std::string_view stream) const;
 
   // All stream names that reported at least one event (or rejection).
   std::vector<std::string> Streams() const;
@@ -111,7 +112,13 @@ class DeadlineMonitor {
   void LoadState(SnapshotReader* r);
 
  private:
-  std::map<std::string, StreamStats> streams_;
+  // The stream's stats, created on first report.  One lookup, keyed by the
+  // view itself (std::less<> makes the map's lookups heterogeneous), so a
+  // report of an existing stream builds no std::string.
+  StreamStats& StreamFor(std::string_view stream);
+
+  // Name-ordered: Streams(), the totals and snapshot images walk it.
+  std::map<std::string, StreamStats, std::less<>> streams_;
 };
 
 }  // namespace dcs

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "src/daq/stats.h"
 #include "src/fault/fault_injector.h"
@@ -176,6 +179,43 @@ TEST(DaqTest, FastPathMatchesFaultPathWhenNothingDrops) {
     ASSERT_EQ(a[i], b[i]) << "sample " << i;
   }
   EXPECT_EQ(faulted.dropped_samples(), 0u);
+}
+
+// Bitwise, so that -0.0 against +0.0 counts as a mismatch.
+void ExpectRoundsLikeStdRound(double x) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(RoundHalfAway(x)),
+            std::bit_cast<std::uint64_t>(std::round(x)))
+      << std::hexfloat << x;
+}
+
+TEST(DaqTest, RoundHalfAwayMatchesStdRoundBitForBit) {
+  const double below_half = std::nextafter(0.5, 0.0);
+  const double two52 = 0x1p52;
+  const double two53 = 0x1p53;
+  for (const double v :
+       {0.0, 0.5, below_half, std::nextafter(0.5, 1.0), 1.0, 1.5, 2.5, 3.5, 1e-300,
+        std::numeric_limits<double>::denorm_min(), 0.49, 0.51, 32767.5, 32768.0,
+        65535.5, two52, std::nextafter(two52, 0.0), std::nextafter(two52, two53),
+        two52 - 0.5, two52 - 1.5, two52 + 1.0, two53, std::nextafter(two53, 0.0),
+        std::numeric_limits<double>::max(), std::numeric_limits<double>::infinity(),
+        0x1p51 + 0.5, 0x1p51 - 0.5}) {
+    ExpectRoundsLikeStdRound(v);
+    ExpectRoundsLikeStdRound(-v);
+  }
+  EXPECT_TRUE(std::isnan(RoundHalfAway(std::numeric_limits<double>::quiet_NaN())));
+  // Every half-integer and its neighbours over a 16-bit ADC's code range,
+  // then random values spread over every binade up to 2^60.
+  for (int k = -70000; k <= 70000; ++k) {
+    const double tie = k + 0.5;
+    ExpectRoundsLikeStdRound(tie);
+    ExpectRoundsLikeStdRound(std::nextafter(tie, -HUGE_VAL));
+    ExpectRoundsLikeStdRound(std::nextafter(tie, HUGE_VAL));
+  }
+  Rng rng(0x20D);
+  for (int i = 0; i < 200000; ++i) {
+    const double v = std::ldexp(rng.Uniform(-1.0, 1.0), static_cast<int>(rng.UniformInt(-8, 60)));
+    ExpectRoundsLikeStdRound(v);
+  }
 }
 
 TEST(DaqTest, ZeroNoiseSamplingMatchesQuantisedTape) {

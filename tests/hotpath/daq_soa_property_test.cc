@@ -117,6 +117,44 @@ TEST(DaqSoaPropertyTest, BatchedMatchesScalarAcrossConfigGrid) {
   }
 }
 
+TEST(DaqSoaPropertyTest, NoiseFreeReadingsMatchOnTiesClampsAndZero) {
+  // Both channels at sigma 0: every reading takes the inline rounding, never
+  // the kernel.  Power levels are searched so that the shunt reading lands
+  // exactly on a half-LSB tie (std::round sends it away from zero, a
+  // ties-to-even rounding would not), next to levels just off a tie, past
+  // the shunt's full scale (clamped), and at zero.
+  DaqConfig config;
+  config.noise_lsb = 0.0;
+  const double lsb = 2.0 * config.shunt_range_volts / std::pow(2.0, config.adc_bits);
+  PowerTape tape;
+  SimTime t = SimTime::Zero();
+  int ties = 0;
+  auto level = [&](double watts) {
+    tape.Set(t, watts);
+    t = t + SimTime::Micros(700);
+  };
+  for (int k = 0; k < 32768 && ties < 64; k += 97) {
+    // Walk the few doubles around the nominal level, lowest first.
+    double watts = (k + 0.5) * lsb / config.shunt_ohms * config.supply_volts;
+    for (int i = 0; i < 4; ++i) {
+      watts = std::nextafter(watts, 0.0);
+    }
+    for (int i = 0; i < 9; ++i, watts = std::nextafter(watts, HUGE_VAL)) {
+      if (watts / config.supply_volts * config.shunt_ohms / lsb == k + 0.5) {
+        ++ties;
+        level(watts);
+        level(std::nextafter(watts, 0.0));
+        break;
+      }
+    }
+  }
+  ASSERT_GE(ties, 16) << "too few exact ties found to test";
+  level(0.0);
+  level(1000.0);  // past full scale
+  level(1.25);
+  ExpectBitwiseEqual(config, tape, SimTime::Zero(), t, "noise-free ties");
+}
+
 TEST(DaqSoaPropertyTest, BatchedMatchesScalarOnRandomTapes) {
   for (std::uint64_t trial = 0; trial < 32; ++trial) {
     Rng rng(0xC0FFEE00 + trial);

@@ -82,6 +82,39 @@ TEST(PowerTapeTest, SameInstantCollapseCanRemergeWithPrevious) {
   EXPECT_EQ(tape.WattsAt(SimTime::Seconds(3)), 1.0);
 }
 
+TEST(PowerTapeTest, WattsAtTheOpenLastSegment) {
+  PowerTape tape;
+  tape.Set(SimTime::Seconds(1), 1.0);
+  tape.Set(SimTime::Seconds(2), 2.0);
+  tape.Set(SimTime::Seconds(4), 4.0);
+  EXPECT_EQ(tape.WattsAt(SimTime::Seconds(4)), 4.0);  // at the last start
+  EXPECT_EQ(tape.WattsAt(SimTime::Seconds(4) + SimTime::Nanos(1)), 4.0);
+  EXPECT_EQ(tape.WattsAt(SimTime::Seconds(100)), 4.0);
+  EXPECT_EQ(tape.WattsAt(SimTime::Seconds(4) - SimTime::Nanos(1)), 2.0);
+  EXPECT_EQ(tape.WattsAt(SimTime::Seconds(2)), 2.0);
+  EXPECT_EQ(tape.WattsAt(SimTime::Seconds(1)), 1.0);
+}
+
+TEST(PowerTapeTest, WattsAtTheLastSegmentAfterACollapseAndAMergePop) {
+  PowerTape tape;
+  tape.Set(SimTime::Seconds(1), 1.0);
+  tape.Set(SimTime::Seconds(2), 2.0);
+  tape.Set(SimTime::Seconds(3), 3.0);
+  // Same-instant collapse: the open segment's power changes in place.
+  tape.Set(SimTime::Seconds(3), 5.0);
+  ASSERT_EQ(tape.segments().size(), 3u);
+  EXPECT_EQ(tape.WattsAt(SimTime::Seconds(3)), 5.0);
+  EXPECT_EQ(tape.WattsAt(SimTime::Seconds(9)), 5.0);
+  // Collapsing back to the previous power pops the segment: the last one
+  // now starts at 2 s.
+  tape.Set(SimTime::Seconds(3), 2.0);
+  ASSERT_EQ(tape.segments().size(), 2u);
+  EXPECT_EQ(tape.WattsAt(SimTime::Seconds(2)), 2.0);
+  EXPECT_EQ(tape.WattsAt(SimTime::Seconds(3)), 2.0);
+  EXPECT_EQ(tape.WattsAt(SimTime::Seconds(9)), 2.0);
+  EXPECT_EQ(tape.WattsAt(SimTime::Seconds(2) - SimTime::Nanos(1)), 1.0);
+}
+
 TEST(PowerTapeTest, EmptyOrInvertedWindowHasZeroEnergy) {
   PowerTape tape;
   tape.Set(SimTime::Zero(), 2.0);

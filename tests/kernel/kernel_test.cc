@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/hw/itsy.h"
 #include "src/sim/simulator.h"
+#include "src/sim/snapshot.h"
 #include "src/workload/synthetic.h"
 
 namespace dcs {
@@ -328,6 +330,114 @@ TEST_F(KernelTest, RemovePolicyStopsCallbacks) {
 
 TEST_F(KernelTest, FindTaskUnknownPidIsNull) {
   EXPECT_EQ(kernel.FindTask(77), nullptr);
+}
+
+// --- The forced reschedule after each tick ------------------------------------
+
+TEST_F(KernelTest, TickDispatchRunsInlineWhenItIsTheNextEvent) {
+  kernel.Start();
+  sim.RunUntil(SimTime::Millis(15));
+  // The tick at 10 ms and its dispatch both count as executed events, but
+  // only the next tick is left in the queue.
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  EXPECT_EQ(itsy.exec_state(), ExecState::kNap);
+}
+
+TEST_F(KernelTest, TickDispatchPastTheRunHorizonIsQueued) {
+  kernel.Start();
+  sim.RunUntil(SimTime::Millis(10));
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_EQ(sim.PendingEvents(), 2u);
+  sim.RunUntil(SimTime::Millis(11));
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+}
+
+// Requests the other of two steps on every `period`-th quantum, so those
+// ticks pay a relock stall.
+class TogglingPolicy final : public ClockPolicy {
+ public:
+  explicit TogglingPolicy(std::uint64_t period) : period_(period) {}
+  const char* Name() const override { return "toggling"; }
+  std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override {
+    if (sample.quantum_index % period_ != 0) {
+      return std::nullopt;
+    }
+    SpeedRequest request;
+    request.step = sample.step == 10 ? 5 : 10;
+    return request;
+  }
+
+ private:
+  std::uint64_t period_;
+};
+
+ItsyConfig StallConfig(SimTime stall) {
+  ItsyConfig config;
+  config.clock_switch_stall = stall;
+  return config;
+}
+
+TEST(KernelStallTest, ClockStallOutlastingTheQuantumQueuesTheDispatch) {
+  Simulator sim;
+  Itsy itsy(sim, StallConfig(SimTime::Millis(15)));
+  Kernel kernel(sim, itsy);
+  TogglingPolicy policy(1);
+  kernel.InstallPolicy(&policy);
+  kernel.Start();
+  sim.RunUntil(SimTime::Millis(15));
+  // The 10 ms tick stalls until 25 ms, past the 20 ms tick, so its dispatch
+  // waits in the queue behind that tick.
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_EQ(sim.PendingEvents(), 2u);
+  sim.RunUntil(SimTime::Millis(21));
+  // The 20 ms tick replaced the stalled dispatch with its own, queued again.
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_EQ(sim.events_cancelled(), 1u);
+  EXPECT_EQ(sim.PendingEvents(), 2u);
+}
+
+// One device's kernel image and event counters after `events` events, run
+// either by RunUntil (where tick dispatches may run inline) or one Step() at
+// a time (where they never do).
+struct DeviceRun {
+  std::string image;
+  std::uint64_t executed = 0;
+  std::uint64_t cancelled = 0;
+};
+
+DeviceRun RunDevice(bool step_by_step, std::uint64_t events) {
+  Simulator sim;
+  // Every third quantum stalls 12 ms, past the next tick (queued fallback);
+  // the other ticks dispatch inline.
+  Itsy itsy(sim, StallConfig(SimTime::Millis(12)));
+  Kernel kernel(sim, itsy);
+  TogglingPolicy policy(3);
+  kernel.InstallPolicy(&policy);
+  kernel.AddTask(std::make_unique<ConstantUtilizationWorkload>(0.4));
+  kernel.AddTask(std::make_unique<PoissonBurstWorkload>(SimTime::Millis(7), 3.0));
+  kernel.Start();
+  if (step_by_step) {
+    while (sim.events_executed() < events && sim.Step()) {
+    }
+  } else {
+    sim.RunUntil(SimTime::Seconds(1));
+  }
+  SnapshotWriter w;
+  kernel.SaveState(&w);
+  itsy.SaveState(&w);
+  return DeviceRun{std::string(w.bytes()), sim.events_executed(), sim.events_cancelled()};
+}
+
+TEST(KernelStallTest, InlineDispatchLeavesTheSameStateAsTheQueuedPath) {
+  const DeviceRun inline_run = RunDevice(false, 0);
+  const DeviceRun queued_run = RunDevice(true, inline_run.executed);
+  EXPECT_GT(inline_run.cancelled, 0u);
+  EXPECT_EQ(queued_run.executed, inline_run.executed);
+  EXPECT_EQ(queued_run.cancelled, inline_run.cancelled);
+  // The image holds every pending event's fire time and EventSeq.
+  EXPECT_TRUE(queued_run.image == inline_run.image);
 }
 
 }  // namespace

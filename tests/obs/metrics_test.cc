@@ -1,5 +1,6 @@
 #include "src/obs/metrics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -66,6 +67,39 @@ TEST(LogHistogramTest, BucketBoundaries) {
       EXPECT_GE(v, LogHistogram::BucketUpperBound(b - 1)) << v;
     }
   }
+}
+
+// The bucket as frexp defines it: bucket 0 below 1 (and for NaN), else
+// frexp's exponent capped at the last bucket.
+int FrexpBucket(double v) {
+  if (!(v >= 1.0)) {
+    return 0;
+  }
+  int exp = 0;
+  std::frexp(v, &exp);
+  return std::min(exp, LogHistogram::kBuckets - 1);
+}
+
+TEST(LogHistogramTest, BucketOfMatchesFrexpAtEveryPowerOfTwo) {
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (const double v : {p, std::nextafter(p, 0.0), std::nextafter(p, HUGE_VAL), -p}) {
+      EXPECT_EQ(LogHistogram::BucketOf(v), FrexpBucket(v)) << v;
+    }
+  }
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double v : {1.0, kMax, std::nextafter(kMax, 0.0), -kMax, 0.0, -0.0,
+                         std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::min() / 3.0, 1.5, 3.0, 1e6}) {
+    EXPECT_EQ(LogHistogram::BucketOf(v), FrexpBucket(v)) << v;
+  }
+  // frexp leaves the exponent untouched (0) for infinities in glibc.
+  EXPECT_EQ(LogHistogram::BucketOf(kInf), 0);
+  EXPECT_EQ(LogHistogram::BucketOf(-kInf), 0);
+  EXPECT_EQ(LogHistogram::BucketOf(std::numeric_limits<double>::quiet_NaN()), 0);
+  EXPECT_EQ(LogHistogram::BucketOf(-std::numeric_limits<double>::quiet_NaN()), 0);
+  EXPECT_EQ(LogHistogram::BucketOf(kMax), LogHistogram::kBuckets - 1);
 }
 
 TEST(LogHistogramTest, SummaryStatistics) {

@@ -251,7 +251,8 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstSortedVector) {
   // staging buffer, cancel an already-heaped event from mid-heap (the
   // running task's completion), re-arm it at a new time, and repeat for many
   // rounds — the path that leaves no orphan behind in the indexed heap.
-  // Throughout, SeqOf must report each live event's insertion sequence and
+  // Every other round also skips a sequence number, as the simulator does
+  // for an event it runs inline instead of pushing.  Throughout, SeqOf must report each live event's insertion sequence and
   // 0 for stale ids, whether the event is staged or heaped.
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     EventQueue q;
@@ -282,6 +283,10 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstSortedVector) {
           ASSERT_TRUE(q.Cancel(id)) << "step " << step << " seed " << seed;
           stale.push_back(id);
           push(SimTime::Micros(rng.UniformInt(0, 15)));
+          if (round % 2 == 1) {
+            q.SkipSeq();
+            ++ref.next_seq;
+          }
         }
       } else if (r < 70) {
         const std::size_t victim = static_cast<std::size_t>(
@@ -380,6 +385,28 @@ TEST(EventQueueTest, SeqOfCoversStagedHeapedAndStaleIds) {
   const EventId late = q.Push(SimTime::Micros(1), [] {});
   EXPECT_EQ(q.SeqOf(late), ids.size());
   EXPECT_EQ(q.SeqOf(kInvalidEventId), 0u);
+}
+
+TEST(EventQueueTest, SkipSeqConsumesOneSequenceNumberAndNothingElse) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventId a = q.Push(SimTime::Millis(1), [&] { order.push_back(0); });
+  q.SkipSeq();
+  EXPECT_EQ(q.Size(), 1u);
+  const EventId b = q.Push(SimTime::Millis(1), [&] { order.push_back(1); });
+  const EventId c = q.Push(SimTime::Millis(1), [&] { order.push_back(2); });
+  EXPECT_EQ(q.SeqOf(a), 0u);
+  EXPECT_EQ(q.SeqOf(b), 2u);
+  EXPECT_EQ(q.SeqOf(c), 3u);
+  // Ties still fire in push order.
+  while (!q.Empty()) {
+    q.Pop().fn();
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  // Clear restarts the counter, skipped numbers included.
+  q.SkipSeq();
+  q.Clear();
+  EXPECT_EQ(q.SeqOf(q.Push(SimTime::Millis(2), [] {})), 0u);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // The DAQ's one-reading-at-a-time reference pipeline, kept for tests only.
 //
-// Daq::SampleWindow fuses each sample into one loop and takes its noise's
-// cos from a certified polynomial; its contract is bitwise equality with
-// this pipeline, the original form of the model: per sample, a tape read,
-// Rng::Gaussian noise on each channel, std::round quantisation, and the
-// fault injector's drop decision taken right after the reading.
+// This is the model in its original form, built from glibc alone: per
+// sample, a tape read, Rng::Gaussian noise on each channel (glibc log and
+// cos), std::round quantisation, and the fault injector's drop decision
+// taken right after the reading.  Daq::SampleWindow computes the same
+// window in blocks — a draw pass, a vectorized kernel with certified log
+// and cos polynomials, and a glibc recompute of the readings the kernel
+// cannot certify — and must match this pipeline bit for bit.
 // tests/hotpath/daq_soa_property_test.cc holds the two to that contract.
 
 #ifndef TESTS_SUPPORT_DAQ_REFERENCE_H_

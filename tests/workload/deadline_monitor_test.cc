@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dcs {
@@ -82,6 +83,44 @@ TEST(DeadlineMonitorTest, StreamsTrackedSeparately) {
   EXPECT_EQ(monitor.Stats("audio").missed, 0);
   EXPECT_EQ(monitor.Streams().size(), 2u);
   EXPECT_EQ(monitor.TotalEvents(), 2);
+}
+
+TEST(DeadlineMonitorTest, EverySpellingOfANameHitsTheSameStream) {
+  DeadlineMonitor monitor;
+  const std::string owned = "video";
+  const std::string_view view = owned;
+  monitor.Report("video", SimTime::Millis(10), SimTime::Millis(20));
+  monitor.Report(owned, SimTime::Millis(10), SimTime::Millis(5));
+  monitor.Report(view, SimTime::Millis(10), SimTime::Millis(30));
+  monitor.ReportRequest(std::string_view("video"), SimTime::Millis(1), SimTime::Millis(5),
+                        SimTime::Millis(3));
+  monitor.ReportRejected(view.substr(0, 5), true);
+  EXPECT_EQ(monitor.Streams(), std::vector<std::string>{"video"});
+  const auto stats = monitor.Stats(view);
+  EXPECT_EQ(stats.total, 4);
+  EXPECT_EQ(stats.missed, 2);
+  EXPECT_EQ(stats.latency_us.count(), 1u);
+  EXPECT_EQ(stats.rejected, 1);
+  EXPECT_EQ(stats.shed, 1);
+  EXPECT_EQ(monitor.Stats(owned).total, 4);
+  EXPECT_EQ(monitor.Stats("video").total, 4);
+  // A view into a longer buffer names only its own characters.
+  const std::string longer = "video_frame";
+  monitor.Report(std::string_view(longer).substr(0, 5), SimTime::Millis(10),
+                 SimTime::Millis(5));
+  EXPECT_EQ(monitor.Stats("video").total, 5);
+  EXPECT_EQ(monitor.Stats("video_frame").total, 0);
+}
+
+TEST(DeadlineMonitorTest, StreamsStayInNameOrder) {
+  DeadlineMonitor monitor;
+  for (const char* name : {"video_frame", "audio", "av_sync", "interactive", "Zulu", "a"}) {
+    monitor.Report(name, SimTime::Millis(10), SimTime::Millis(5));
+  }
+  monitor.ReportRejected(std::string("bronze"));
+  EXPECT_EQ(monitor.Streams(),
+            (std::vector<std::string>{"Zulu", "a", "audio", "av_sync", "bronze", "interactive",
+                                      "video_frame"}));
 }
 
 TEST(DeadlineMonitorTest, MissRatePerStream) {
