@@ -9,35 +9,31 @@ Usage:
 Each file is either a dcs-bench/1 run object (what `perf_harness --out`
 or `fleet_scale --out` writes) or the committed dcs-bench-trajectory/1 file
 (BENCH_dcs.json), in which case a specific entry can be picked with
-`FILE:LABEL`; without a label the most recent entry sharing at least one
-benchmark name with the new run is used (falling back to the last entry).
-The trajectory interleaves perf_harness and fleet_scale entries, so both
-forms resolve to the right baseline automatically:
-
-    scripts/bench_diff.py BENCH_dcs.json BENCH_ci.json        # perf_harness
-    scripts/bench_diff.py BENCH_dcs.json BENCH_fleet_ci.json  # fleet_scale
-
-while
+`FILE:LABEL` (without a label the last entry is used):
 
     scripts/bench_diff.py BENCH_dcs.json:pr5-baseline BENCH_dcs.json:pr5-optimized
 
-compares two named entries of the history.
+compares two named entries of the history.  The trajectory's numbers come
+from several machines, so it is history, not a gate.
 
 With --base/--head, each side is several runs, typically of the merge base
 and of the head built on the same machine and run alternately (CI's bench
-job).  A row's value on each side is then the median of its per-run
-medians, which a single slow run cannot move.
+job gates perf_harness and fleet_scale this way).  A row's value on each
+side is then the median of its per-run medians, which a single slow run
+cannot move.
 
 Prints an old-vs-new table for every benchmark present on both sides and
 exits 1 if any "micro" benchmark regressed by more than the threshold
 (default 25%).  "e2e" wall-clock rows are advisory: printed, never gating.
+A row's kind is read from the old (base) side, so a change cannot turn off
+the gate it is measured against by re-tagging its own rows.
 """
 
 import json
 import sys
 
 
-def load_run(spec, prefer_names=None):
+def load_run(spec):
     path, _, label = spec.partition(":")
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
@@ -47,20 +43,12 @@ def load_run(spec, prefer_names=None):
         entries = doc.get("entries", [])
         if not entries:
             sys.exit(f"{path}: trajectory file has no entries")
-        if label:
-            for entry in entries:
-                if entry.get("label") == label:
-                    return entry
-            sys.exit(f"{path}: no entry labelled {label!r}")
-        # No label: prefer the most recent entry that overlaps the other
-        # run's benchmark names, so a trajectory interleaving perf_harness
-        # and fleet_scale entries resolves each diff to its own baseline.
-        if prefer_names:
-            for entry in reversed(entries):
-                names = {b["name"] for b in entry.get("benchmarks", [])}
-                if names & prefer_names:
-                    return entry
-        return entries[-1]
+        if not label:
+            return entries[-1]
+        for entry in entries:
+            if entry.get("label") == label:
+                return entry
+        sys.exit(f"{path}: no entry labelled {label!r}")
     sys.exit(f"{path}: unrecognised schema {doc.get('schema')!r}")
 
 
@@ -111,8 +99,7 @@ def main(argv):
         sys.exit(__doc__)
 
     new_run = combine([load_run(spec) for spec in head_specs])
-    new_names = {b["name"] for b in new_run["benchmarks"]}
-    old_run = combine([load_run(spec, prefer_names=new_names) for spec in base_specs])
+    old_run = combine([load_run(spec) for spec in base_specs])
     old_by_name = {b["name"]: b for b in old_run["benchmarks"]}
 
     print(f"old: {old_run.get('label')}  ({old_run.get('host', {}).get('cpu')})")
@@ -137,7 +124,7 @@ def main(argv):
         delta = (ratio - 1.0) * 100.0
         marker = ""
         if ratio < 1.0 - threshold:
-            if bench.get("kind", "micro") == "micro":
+            if old.get("kind", "micro") == "micro":
                 regressions.append((name, delta))
                 marker = "  << REGRESSION"
             else:

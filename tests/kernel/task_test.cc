@@ -57,8 +57,11 @@ TEST(TaskTest, StateTransitions) {
 TEST(TaskTest, ProfileComesFromWorkload) {
   auto task = std::make_unique<Task>(
       1, std::make_unique<ComputeOnceWorkload>(1.0, MemoryProfile{12.0, 3.0}), Rng(1));
-  EXPECT_DOUBLE_EQ(task->profile().word_refs_per_kilocycle, 12.0);
-  EXPECT_DOUBLE_EQ(task->profile().line_fills_per_kilocycle, 3.0);
+  const MemoryModel::Rates expected(MemoryProfile{12.0, 3.0});
+  for (int step = 0; step < kNumClockSteps; ++step) {
+    EXPECT_EQ(task->rates().At(step), expected.At(step));
+  }
+  EXPECT_NE(task->rates().At(0), MemoryModel::Rates(MemoryProfile{}).At(0));
 }
 
 TEST(ActionTest, FactoriesSetFields) {
